@@ -42,19 +42,10 @@ func testSteadyStateAllocFree(t *testing.T, cfg Config) {
 	defer lm.Close()
 	ctx := context.Background()
 
-	// Warm: make lock 1 hot so placement installs it in the
-	// switch, then cycle enough to fill every pool and grow the
-	// emit scratch stacks to their steady size.
-	for i := 0; i < 100; i++ {
-		g, err := lm.Acquire(ctx, 1, Exclusive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Release()
-	}
-	lm.PlacementTick(1)
-	if st := lm.Stats(); st.SwitchResidentLocks == 0 {
-		t.Fatal("warmup did not make the lock switch-resident")
+	// Warm: install lock 1 in the switch, then cycle enough to fill
+	// every pool and grow the emit scratch stacks to their steady size.
+	if err := lm.Preinstall(1, 1); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
 		g, err := lm.Acquire(ctx, 1, Exclusive)

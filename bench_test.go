@@ -171,15 +171,9 @@ func BenchmarkEmbeddedAcquireRelease(b *testing.B) {
 	lm := New(Config{Servers: 1})
 	defer lm.Close()
 	ctx := context.Background()
-	// Make the lock switch-resident.
-	for i := 0; i < 100; i++ {
-		g, err := lm.Acquire(ctx, 1, Exclusive)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.Release()
+	if err := lm.Preinstall(1, 1); err != nil {
+		b.Fatal(err)
 	}
-	lm.PlacementTick(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -226,15 +220,10 @@ func benchEmbeddedParallel(b *testing.B, shards int, disjoint bool) {
 		}
 	}
 	for l := 1; l <= nLocks; l++ {
-		for i := 0; i < 100; i++ {
-			g, err := lm.Acquire(ctx, uint32(l), Exclusive)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Release()
+		if err := lm.Preinstall(uint32(l), 1); err != nil {
+			b.Fatal(err)
 		}
 	}
-	lm.PlacementTick(1)
 
 	var next atomic.Uint32
 	b.ReportAllocs()

@@ -242,7 +242,7 @@ func runLoad(cfg loadConfig, report time.Duration) (result, error) {
 		}
 		defer tp.Close()
 		if cfg.rebalanceEvery > 0 {
-			loop := rebalance.New(tp.Controller().Mover(), rebalance.Config{
+			loop := rebalance.New(tp.Controller(), rebalance.Config{
 				Interval: cfg.rebalanceEvery,
 				Budget:   cfg.rebalanceBudget,
 			})

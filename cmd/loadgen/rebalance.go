@@ -177,7 +177,7 @@ func runDriftLeg(cfg loadConfig, hotN int, rebalanced bool) (driftResult, error)
 		// above measured peak concurrency, so no per-benchmark slot floor is
 		// needed to stop saturated hot locks detouring through the server
 		// overflow path.
-		loop = rebalance.New(tp.Controller().Mover(), rebalance.Config{
+		loop = rebalance.New(tp.Controller(), rebalance.Config{
 			Interval: cfg.rebalanceEvery,
 			Budget:   cfg.rebalanceBudget,
 		})

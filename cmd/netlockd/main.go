@@ -131,7 +131,7 @@ func main() {
 	// order) so no move races the teardown.
 	var loop *rebalance.Loop
 	if *rebalanceEvery > 0 {
-		loop = rebalance.New(ctrl.Mover(), rebalance.Config{
+		loop = rebalance.New(ctrl, rebalance.Config{
 			Interval: *rebalanceEvery,
 			Budget:   *rebalanceBudget,
 		})

@@ -3,6 +3,8 @@ package netlock
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,8 +56,8 @@ func TestConcurrentChaosShardedManager(t *testing.T) {
 }
 
 // TestConcurrentChaosWithControlLoops runs the same check while the
-// background lease sweep and placement loop tick underneath the traffic, so
-// lock migration between switch and servers happens mid-stream. The lease
+// background lease sweep and rebalancer tick underneath the traffic, so
+// live lock moves between switch and servers happen mid-stream. The lease
 // is long enough that no hold expires while its observer still counts it.
 func TestConcurrentChaosWithControlLoops(t *testing.T) {
 	for _, seed := range check.SeedsN(2) {
@@ -64,7 +66,7 @@ func TestConcurrentChaosWithControlLoops(t *testing.T) {
 			Servers:           2,
 			DefaultLease:      30 * time.Second,
 			SweepInterval:     time.Millisecond,
-			PlacementInterval: time.Millisecond,
+			RebalanceInterval: time.Millisecond,
 		})
 		check.RunConcurrent(t, blockingAdapter{lm}, check.DefaultConcurrentCfg(), seed)
 		lm.Close()
@@ -131,13 +133,15 @@ func TestCloseDuringInflightAcquires(t *testing.T) {
 	}
 }
 
-// TestPlacementTickDuringInflightAcquires hammers PlacementTick from one
-// goroutine while clients acquire and release across every shard: lock
-// migration must never strand a blocked acquirer or break exclusivity.
-func TestPlacementTickDuringInflightAcquires(t *testing.T) {
-	lm := New(Config{Shards: 4, Servers: 2})
+// TestRebalanceTickDuringInflightAcquires hammers RebalanceTick from one
+// goroutine while clients acquire and release across every shard, their
+// hot set rotating so locks are promoted and demoted mid-stream: a live
+// move must never strand a blocked acquirer or break exclusivity.
+func TestRebalanceTickDuringInflightAcquires(t *testing.T) {
+	lm := New(Config{Shards: 4, Servers: 2, SwitchSlots: 64})
 	defer lm.Close()
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 
 	stop := make(chan struct{})
 	tickerDone := make(chan struct{})
@@ -148,22 +152,28 @@ func TestPlacementTickDuringInflightAcquires(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				lm.PlacementTick(time.Millisecond)
+				lm.RebalanceTick()
 			}
 		}
 	}()
 
-	const clients = 6
+	const clients, rounds, hot = 6, 600, 8
+	var holders [3 * hot]atomic.Int32
 	errCh := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		go func(c int) {
-			for i := 0; i < 300; i++ {
-				lock := uint32(i%8 + 1)
-				g, err := lm.Acquire(ctx, lock, Exclusive)
+			for i := 0; i < rounds; i++ {
+				lock := uint32(i/(rounds/3)*hot + (i+c)%hot)
+				g, err := lm.Acquire(ctx, lock+1, Exclusive)
 				if err != nil {
-					errCh <- err
+					errCh <- fmt.Errorf("client %d acquire lock %d: %w", c, lock+1, err)
 					return
 				}
+				if n := holders[lock].Add(1); n != 1 {
+					errCh <- fmt.Errorf("lock %d held by %d clients at once", lock+1, n)
+					return
+				}
+				holders[lock].Add(-1)
 				g.Release()
 			}
 			errCh <- nil
@@ -176,4 +186,9 @@ func TestPlacementTickDuringInflightAcquires(t *testing.T) {
 	}
 	close(stop)
 	<-tickerDone
+	if st := lm.RebalanceStats(); st.Promotions == 0 {
+		t.Fatalf("no live move raced the traffic: %+v", st)
+	} else {
+		t.Logf("rebalance stats: %+v", st)
+	}
 }

@@ -3,7 +3,6 @@ package netlock_test
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"netlock"
 )
@@ -29,9 +28,9 @@ func ExampleManager() {
 	// two concurrent shared holders
 }
 
-// ExampleManager_PlacementTick shows the memory-management loop moving a
-// hot lock into the switch data plane.
-func ExampleManager_PlacementTick() {
+// ExampleManager_RebalanceTick shows the memory-management loop moving a
+// hot lock into the switch data plane, live.
+func ExampleManager_RebalanceTick() {
 	lm := netlock.New(netlock.Config{Servers: 1})
 	defer lm.Close()
 	ctx := context.Background()
@@ -39,10 +38,11 @@ func ExampleManager_PlacementTick() {
 		g, _ := lm.Acquire(ctx, 7, netlock.Exclusive)
 		g.Release()
 	}
-	installed, _ := lm.PlacementTick(time.Second)
-	fmt.Println("locks moved into the switch:", installed)
+	fmt.Println("locks moved into the switch:", lm.RebalanceTick())
+	fmt.Println("locks resident:", lm.Stats().SwitchResidentLocks)
 	// Output:
 	// locks moved into the switch: 1
+	// locks resident: 1
 }
 
 // ExampleWithTenant shows per-tenant quota enforcement (performance

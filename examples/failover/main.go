@@ -33,7 +33,7 @@ func main() {
 		}
 		g.Release()
 	}
-	lm.PlacementTick(time.Second)
+	lm.RebalanceTick()
 	fmt.Printf("lock 1 resident in switch: %d locks resident\n", lm.Stats().SwitchResidentLocks)
 
 	// A client acquires... and crashes without releasing.

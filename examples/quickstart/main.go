@@ -58,7 +58,7 @@ func main() {
 	<-done
 
 	// New locks start at the lock servers (§4.3). Generate some traffic,
-	// run a placement round, and the hot lock moves into the switch.
+	// run a rebalance round, and the hot lock moves into the switch.
 	for i := 0; i < 100; i++ {
 		g, err := lm.Acquire(ctx, 7, netlock.Exclusive)
 		if err != nil {
@@ -66,10 +66,10 @@ func main() {
 		}
 		g.Release()
 	}
-	installed, _ := lm.PlacementTick(time.Second)
+	moved := lm.RebalanceTick()
 	st := lm.Stats()
-	fmt.Printf("placement moved %d locks into the switch (%d resident)\n",
-		installed, st.SwitchResidentLocks)
+	fmt.Printf("rebalancer moved %d locks into the switch (%d resident)\n",
+		moved, st.SwitchResidentLocks)
 
 	g2, err := lm.Acquire(ctx, 7, netlock.Exclusive)
 	if err != nil {

@@ -1,6 +1,6 @@
 // TPC-C-style transaction locking over the NetLock public API: workers run
 // the standard transaction mix (New-Order, Payment, ...), each acquiring
-// its lock set in the global order, while the placement loop migrates hot
+// its lock set in the global order, while the rebalancer migrates hot
 // warehouse and district locks into the switch.
 package main
 
@@ -76,7 +76,7 @@ func main() {
 	lm := netlock.New(netlock.Config{
 		Servers:           2,
 		DefaultLease:      time.Second,
-		PlacementInterval: 100 * time.Millisecond,
+		RebalanceInterval: 100 * time.Millisecond,
 	})
 	defer lm.Close()
 
@@ -134,6 +134,6 @@ func main() {
 	fmt.Printf("lock grants: %d by the switch, %d by lock servers (%d locks resident)\n",
 		switchGrants, serverGrants, st.SwitchResidentLocks)
 	if switchGrants == 0 {
-		log.Fatal("expected the placement loop to move hot locks into the switch")
+		log.Fatal("expected the rebalancer to move hot locks into the switch")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"netlock/internal/lockserver"
 	"netlock/internal/obs"
+	"netlock/internal/rebalance"
 	"netlock/internal/sharedqueue"
 	"netlock/internal/switchdp"
 )
@@ -17,27 +18,13 @@ import (
 // the UDP transport reproduces the same sequence with epoch-fenced chain
 // messages (internal/transport).
 
-// MoveReport describes one completed live move for the migration oracle:
-// which transactions held the lock and which were waiting at the instant
-// the state crossed the boundary.
-type MoveReport struct {
-	LockID uint32
-	// ToSwitch is the move direction: true for promotion.
-	ToSwitch bool
-	Granted  []uint64
-	Waiting  []uint64
-}
-
-// Entries returns the number of migrated requests.
-func (r *MoveReport) Entries() int { return len(r.Granted) + len(r.Waiting) }
-
 // MoveToServer live-demotes a resident lock to its home server: the
 // switch's queue state is exported (evicting the lock), converted, and
 // installed at the server with granted flags preserved; overflow requests
 // the server buffered while the lock was resident replay behind it. The
 // returned emits (q2-replay grants) must be delivered by the caller.
-func (m *Manager) MoveToServer(id uint32) (MoveReport, []lockserver.Emit, error) {
-	rep := MoveReport{LockID: id}
+func (m *Manager) MoveToServer(id uint32) (rebalance.Report, []lockserver.Emit, error) {
+	rep := rebalance.Report{LockID: id}
 	srv := m.servers[m.ServerFor(id)]
 	if srv.CtrlOwns(id) {
 		return rep, nil, fmt.Errorf("core: lock %d already server-owned", id)
@@ -78,8 +65,8 @@ func (m *Manager) MoveToServer(id uint32) (MoveReport, []lockserver.Emit, error)
 // widened if the live queue is deeper than requested, so the occupied state
 // always fits. On capacity failure the state is re-imported at the server
 // and the move reports an error; nothing is lost either way.
-func (m *Manager) MoveToSwitch(id uint32, slots uint64) (MoveReport, error) {
-	rep := MoveReport{LockID: id, ToSwitch: true}
+func (m *Manager) MoveToSwitch(id uint32, slots uint64) (rebalance.Report, error) {
+	rep := rebalance.Report{LockID: id, ToSwitch: true}
 	if m.sw.CtrlHasLock(id) {
 		return rep, fmt.Errorf("core: lock %d already switch-resident", id)
 	}

@@ -114,8 +114,8 @@ func TestLivePromoteWidensForDeepQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if rep.Entries() != 6 {
-		t.Fatalf("migrated %d entries, want 6", rep.Entries())
+	if n := len(rep.Granted) + len(rep.Waiting); n != 6 {
+		t.Fatalf("migrated %d entries, want 6", n)
 	}
 	// Drain through the switch: strict FIFO of the migrated queue.
 	for txn := uint64(1); txn < 6; txn++ {

@@ -48,9 +48,10 @@ type Config struct {
 	// for locks that never drain: after several deferred rounds the lock
 	// is paused at its server (new requests buffer) until its queue
 	// empties and the move completes. Pausing stalls the lock's
-	// requesters for up to a control round, so it suits deployments with
-	// slow control cadences (the embedded API); the evaluation testbed
-	// leaves it off and simply defers until the lock idles.
+	// requesters for up to a control round, and only a later Reallocate
+	// round completes or aborts the move, so it needs a caller that keeps
+	// ticking Reallocate; the evaluation testbed leaves it off and simply
+	// defers until the lock idles.
 	PauseBusyMoves bool
 	// ServerConfig configures each lock server; Priorities is forced to
 	// match the switch.
@@ -266,14 +267,20 @@ func (m *Manager) Reallocate(demands []memalloc.Demand, alloc Allocator) Report 
 	// lock generates no measurable traffic, so it may have dropped out of
 	// the new plan: complete the move if it is still wanted, abort it (the
 	// server resumes processing, buffered requests included) otherwise.
-	for id, slots := range m.pendingMoves {
+	// Lock-ID order, not map order: the first completed move gets the
+	// lowest regions, and the report lists and emits must replay from a seed.
+	pending := make([]uint32, 0, len(m.pendingMoves))
+	for id := range m.pendingMoves {
+		pending = append(pending, id)
+	}
+	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
+	for _, id := range pending {
 		if want, keep := target[id]; keep {
 			if m.installLock(id, want, &report) {
 				report.Installed = append(report.Installed, id)
 			} else {
 				report.Deferred = append(report.Deferred, id)
 			}
-			_ = slots
 			continue
 		}
 		emits := m.servers[m.ServerFor(id)].CtrlAbortMove(id)

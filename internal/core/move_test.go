@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
 	"netlock/internal/switchdp"
+	"netlock/internal/wire"
 )
 
 // Tests for the manager side of the pause-and-move protocol: busy locks
@@ -100,5 +103,57 @@ func TestPendingMoveRetriesAcrossManyRounds(t *testing.T) {
 	rep := m.Reallocate(demands, nil)
 	if len(rep.Installed) != 1 {
 		t.Fatalf("move should complete after drain: %+v", rep)
+	}
+}
+
+// TestReallocatePendingMovesDeterministic: the round that resolves paused
+// moves must not depend on map iteration order. Nine locks are driven into
+// the pending state on twenty fresh managers by one call sequence; then
+// three drain (their moves complete), three stay busy (deferred) and three
+// drain but leave the plan (aborted). Every manager must report the same
+// Installed, Deferred and Emits order and give each lock the same regions.
+func TestReallocatePendingMovesDeterministic(t *testing.T) {
+	type outcome struct {
+		Installed, Deferred []uint32
+		Emits               []lockserver.Emit
+		Pushes              []wire.Header
+		Regions             map[uint32][]interval
+	}
+	run := func() outcome {
+		m := newPausingManager()
+		srv := m.Server(0)
+		var all, kept []memalloc.Demand
+		for id := uint32(1); id <= 9; id++ {
+			srv.ProcessPacket(acq(id, uint64(id)*10+1)) // holder
+			srv.ProcessPacket(acq(id, uint64(id)*10+2)) // waiter
+			all = append(all, demand(id, 1e6, 8))
+			if id <= 6 {
+				kept = append(kept, demand(id, 1e6, 8))
+			}
+		}
+		for round := 0; round < pauseAfterDeferrals; round++ {
+			m.Reallocate(all, nil)
+		}
+		if len(m.pendingMoves) != 9 {
+			t.Fatalf("%d moves pending, want 9", len(m.pendingMoves))
+		}
+		for id := uint32(1); id <= 9; id++ {
+			srv.ProcessPacket(acq(id, uint64(id)*10+3)) // buffered by the pause
+			if id <= 3 || id >= 7 {
+				srv.ProcessPacket(rel(id, uint64(id)*10+1))
+				srv.ProcessPacket(rel(id, uint64(id)*10+2))
+			}
+		}
+		rep := m.Reallocate(kept, nil)
+		return outcome{rep.Installed, rep.Deferred, rep.Emits, rep.SwitchPushes, m.regionsByLock}
+	}
+	want := run()
+	if len(want.Installed) != 3 || len(want.Deferred) < 3 || len(want.Emits) == 0 {
+		t.Fatalf("scenario not exercised: %+v", want)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("manager %d diverged:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }

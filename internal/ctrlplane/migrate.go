@@ -6,6 +6,7 @@ import (
 
 	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
 )
@@ -18,18 +19,12 @@ import (
 // live in transport, the per-node state surgery in switchdp and
 // lockserver.
 
-// MoveReport describes one completed live move, in the shape the scenario
-// oracle consumes: which requests crossed the boundary as holders and
-// which as waiters, in queue (bank, then FIFO) order.
-type MoveReport struct {
-	LockID   uint32
-	ToSwitch bool
-	Granted  []uint64
-	Waiting  []uint64
-}
-
-// Entries returns the number of requests that crossed with the move.
-func (r *MoveReport) Entries() int { return len(r.Granted) + len(r.Waiting) }
+// The controller is the UDP rack's rebalance.Mover: the online rebalance
+// loop that drives the embedded Manager's shards drives a rack the same
+// way — demand measured from the chain head and the servers, moves
+// executed as epoch-fenced chain migrations. The loop serializes its own
+// calls; c.mu serializes them against drains, failovers and installs.
+var _ rebalance.Mover = (*Controller)(nil)
 
 // serverIndexForLocked resolves a lock's home server, following drain
 // redirects. Caller holds c.mu.
@@ -185,22 +180,22 @@ func (c *Controller) allocRegionsLocked(need []uint64) ([]switchdp.Region, error
 // of adopting the lock), the chain exports and evicts the lock at one
 // op-stream position, and the state — leases rebased onto the server's
 // clock — is installed at the server.
-func (c *Controller) MoveToServer(lockID uint32) (MoveReport, error) {
+func (c *Controller) MoveToServer(lockID uint32) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.regions[lockID]; !ok {
-		return MoveReport{}, fmt.Errorf("ctrlplane: lock %d is not switch-resident", lockID)
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d is not switch-resident", lockID)
 	}
 	if len(c.servers) == 0 {
-		return MoveReport{}, fmt.Errorf("ctrlplane: no lock server to demote to")
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to demote to")
 	}
 	srv := c.servers[c.serverIndexForLocked(lockID)]
 	srv.PrepareImport(lockID)
 	ex, baseNs, err := c.members[0].MigrateDemoteLock(lockID)
 	if err != nil {
-		return MoveReport{}, err
+		return rebalance.Report{}, err
 	}
-	rep := MoveReport{LockID: lockID, ToSwitch: false}
+	rep := rebalance.Report{LockID: lockID, ToSwitch: false}
 	nowNs := srv.NowNs()
 	banks := make([][]lockserver.ExportEntry, len(ex.Slots))
 	for b := range ex.Slots {
@@ -233,22 +228,22 @@ func (c *Controller) MoveToServer(lockID uint32) (MoveReport, error) {
 // head's clock, regions are allocated from the controller's free map, and
 // the chain installs the state at one op-stream position. On any failure
 // after the export the state rolls back to the server.
-func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (MoveReport, error) {
+func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.regions[lockID]; ok {
-		return MoveReport{}, fmt.Errorf("ctrlplane: lock %d already switch-resident", lockID)
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d already switch-resident", lockID)
 	}
 	if slots == 0 {
-		return MoveReport{}, fmt.Errorf("ctrlplane: promotion needs at least one slot")
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: promotion needs at least one slot")
 	}
 	if len(c.servers) == 0 {
-		return MoveReport{}, fmt.Errorf("ctrlplane: no lock server to promote from")
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to promote from")
 	}
 	srv := c.servers[c.serverIndexForLocked(lockID)]
 	ex, err := srv.ExportLock(lockID)
 	if err != nil {
-		return MoveReport{}, err
+		return rebalance.Report{}, err
 	}
 	rollback := func() {
 		if err := srv.ImportLock(lockID, ex.Banks); err != nil {
@@ -258,7 +253,7 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (MoveReport, erro
 	banks, _ := c.bankGeometryLocked()
 	if len(ex.Banks) > banks {
 		rollback()
-		return MoveReport{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(ex.Banks), banks)
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(ex.Banks), banks)
 	}
 	per, extra := slots/uint64(banks), slots%uint64(banks)
 	need := make([]uint64, banks)
@@ -279,11 +274,11 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (MoveReport, erro
 	regions, err := c.allocRegionsLocked(need)
 	if err != nil {
 		rollback()
-		return MoveReport{}, err
+		return rebalance.Report{}, err
 	}
 	// Rebase a copy: the original stays valid (on the server's clock) for
 	// rollback if the chain refuses the promote.
-	rep := MoveReport{LockID: lockID, ToSwitch: true}
+	rep := rebalance.Report{LockID: lockID, ToSwitch: true}
 	headNow := c.members[0].NowNs()
 	rebased := make([][]lockserver.ExportEntry, banks)
 	for b := 0; b < banks && b < len(ex.Banks); b++ {
@@ -301,7 +296,7 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (MoveReport, erro
 	}
 	if err := c.members[0].MigratePromoteLock(lockID, regions, rebased); err != nil {
 		rollback()
-		return MoveReport{}, err
+		return rebalance.Report{}, err
 	}
 	c.regions[lockID] = regions
 	return rep, nil

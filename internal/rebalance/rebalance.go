@@ -34,7 +34,7 @@ type Report struct {
 
 // Mover is the placement-control surface the loop drives. Both rack
 // planes implement it: ctrlplane.Controller via live chain migration, and
-// the embedded netlock.Store via core.Manager's in-process moves.
+// each embedded netlock.Manager shard via core.Manager's in-process moves.
 type Mover interface {
 	// MeasureDemands reads and clears the per-lock load gauges,
 	// normalized over windowSec seconds.

@@ -31,12 +31,6 @@ type Plane interface {
 	Close()
 }
 
-// Placer is the optional capability of planes whose memory-management
-// loop can be ticked manually (the embedded Manager).
-type Placer interface {
-	PlacementTick(window time.Duration) (installed, removed int)
-}
-
 // MetricsSource is the optional capability of planes exposing the obs
 // snapshot.
 type MetricsSource interface {
@@ -132,10 +126,6 @@ func (p *embeddedPlane) Acquire(ctx context.Context, _ int, lockID uint32, mode 
 }
 
 func (p *embeddedPlane) Close() { p.m.Close() }
-
-func (p *embeddedPlane) PlacementTick(window time.Duration) (int, int) {
-	return p.m.PlacementTick(window)
-}
 
 func (p *embeddedPlane) Metrics() *obs.Snapshot { return p.m.Metrics() }
 

@@ -298,7 +298,7 @@ func runRebalance(cfg Config) (*Summary, error) {
 		stopLoop = func() {}
 	case *udpPlane:
 		ctrl := pl.tp.Controller()
-		loop := rebalance.New(ctrl.Mover(), rebalance.Config{
+		loop := rebalance.New(ctrl, rebalance.Config{
 			Interval: 3 * time.Millisecond,
 			Budget:   2,
 			OnMove: func(r rebalance.Report, err error) {

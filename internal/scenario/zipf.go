@@ -16,9 +16,9 @@ import (
 // runZipf stresses the memory-management path: Zipf-skewed traffic over a
 // lock-ID space orders of magnitude larger than switch memory, so the
 // knapsack allocator must keep promoting the current hot set into the
-// switch and demoting what cooled off. On the embedded plane a placement
-// loop ticks concurrently with traffic and the summary reports the
-// promote/demote churn; on the UDP rack the hottest prefix is
+// switch and demoting what cooled off. On the embedded plane the
+// Manager's rebalancer ticks concurrently with traffic and the summary
+// reports its promote/demote churn; on the UDP rack the hottest prefix is
 // pre-installed and everything else rides the server path.
 func runZipf(cfg Config) (*Summary, error) {
 	workers := 4
@@ -44,6 +44,9 @@ func runZipf(cfg Config) (*Summary, error) {
 			SwitchSlots:    256,
 			MaxSwitchLocks: 32,
 			Metrics:        true,
+			// The rebalancer runs against live traffic — the
+			// promote/demote path under fire, not a quiesced reshuffle.
+			RebalanceInterval: 5 * time.Millisecond,
 		},
 		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 128, Priorities: 1},
 		Servers: 2,
@@ -67,30 +70,6 @@ func runZipf(cfg Config) (*Summary, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	// The placement control loop runs against live traffic — the
-	// promote/demote path under fire, not a quiesced reshuffle.
-	var installed, removed int
-	placeStop := make(chan struct{})
-	var placeWG sync.WaitGroup
-	if placer, ok := plane.(Placer); ok {
-		placeWG.Add(1)
-		go func() {
-			defer placeWG.Done()
-			tick := time.NewTicker(5 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-placeStop:
-					return
-				case <-tick.C:
-					in, rm := placer.PlacementTick(10 * time.Millisecond)
-					installed += in
-					removed += rm
-				}
-			}
-		}()
-	}
 
 	start := time.Now()
 	errs := make([]error, workers)
@@ -117,8 +96,6 @@ func runZipf(cfg Config) (*Summary, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(placeStop)
-	placeWG.Wait()
 
 	for _, err := range errs {
 		if err != nil {
@@ -133,6 +110,11 @@ func runZipf(cfg Config) (*Summary, error) {
 		return nil, failf(cfg.Seed, "scenario zipf: vacuous run: %d grants, %d releases, want %d", grants, releases, want)
 	}
 
+	var installed, removed int
+	if ep, ok := plane.(*embeddedPlane); ok {
+		st := ep.m.RebalanceStats()
+		installed, removed = int(st.Promotions), int(st.Demotions)
+	}
 	p50, p99 := lat.percentiles()
 	return &Summary{
 		Name:              "zipf",

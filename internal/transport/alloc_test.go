@@ -33,7 +33,7 @@ func TestFabricClientSteadyStateAllocs(t *testing.T) {
 	locks := make([]uint32, len(sws))
 	for i, sw := range sws {
 		locks[i] = lockOnRack(t, m, i)
-		if err := InstallSwitchLock(sw, servers[i], locks[i], []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+		if err := installSwitchLock(sw, servers[i], locks[i], []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
 			t.Fatal(err)
 		}
 	}

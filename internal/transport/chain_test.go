@@ -530,7 +530,7 @@ func TestLateDuplicateAcquireDropped(t *testing.T) {
 	})
 	t.Run("switch-resident", func(t *testing.T) {
 		sws, srv := chainRack(t, 1, dpConfig())
-		if err := InstallSwitchLock(sws[0], []*Server{srv}, 6, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+		if err := installSwitchLock(sws[0], []*Server{srv}, 6, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
 			t.Fatal(err)
 		}
 		run(t, sws, 6)

@@ -411,20 +411,6 @@ func (c *Client) Acquire(ctx context.Context, lockID uint32, mode netlock.Mode, 
 	return a.Wait(ctx)
 }
 
-// AcquireTimeout requests a lock with a plain timeout.
-//
-// Deprecated: use Acquire with a context and the shared netlock option set;
-// this shim will be removed after one release.
-func (c *Client) AcquireTimeout(lockID uint32, mode wire.Mode, timeout time.Duration) (*Grant, error) {
-	nm := netlock.Shared
-	if mode == wire.Exclusive {
-		nm = netlock.Exclusive
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.Acquire(ctx, lockID, nm)
-}
-
 func (c *Client) submit(ctx context.Context, lockID uint32, mode netlock.Mode, cb func(*Grant, error), opts []netlock.AcquireOption) (*AsyncAcquire, error) {
 	o := netlock.ResolveAcquireOptions(opts...)
 	wm := wire.Shared

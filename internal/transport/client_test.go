@@ -2,53 +2,13 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	"netlock"
 	"netlock/internal/switchdp"
-	"netlock/internal/wire"
 )
-
-// TestAcquireTimeoutMatchesContext pins the deprecation contract: the
-// AcquireTimeout shim and a context-first Acquire with the same deadline
-// must fail identically over the batched path — same sentinels, same
-// message — so callers can migrate without changing error handling.
-func TestAcquireTimeoutMatchesContext(t *testing.T) {
-	sw, _ := rack(t, 1, dpConfig())
-	holder := client(t, sw)
-	g, err := acquire(holder, 1, netlock.Exclusive, timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Release()
-
-	c := client(t, sw)
-	const d = 150 * time.Millisecond
-
-	_, errShim := c.AcquireTimeout(1, wire.Exclusive, d)
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	_, errCtx := c.Acquire(ctx, 1, netlock.Exclusive)
-	cancel()
-
-	for name, err := range map[string]error{"AcquireTimeout": errShim, "Acquire": errCtx} {
-		if err == nil {
-			t.Fatalf("%s: acquired a held exclusive lock", name)
-		}
-		if !errors.Is(err, netlock.ErrTimeout) {
-			t.Errorf("%s: %v, want errors.Is ErrTimeout", name, err)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: %v, want errors.Is context.DeadlineExceeded", name, err)
-		}
-	}
-	if errShim.Error() != errCtx.Error() {
-		t.Errorf("error text diverged:\n  AcquireTimeout: %q\n  Acquire:        %q",
-			errShim.Error(), errCtx.Error())
-	}
-}
 
 // TestClientSteadyStateAllocs gates the client's steady-state send/receive
 // path: once the pools and tables are warm, an acquire/release round trip

@@ -96,7 +96,7 @@ func TestBatchedErrQuotaExceeded(t *testing.T) {
 	cn, sw, servers := errorRack(t,
 		lockserver.Config{},
 		switchdp.Config{MaxLocks: 4, TotalSlots: 16, Priorities: 1, Isolation: true})
-	if err := InstallSwitchLock(sw, servers, 3, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+	if err := installSwitchLock(sw, servers, 3, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	sw.WithDataPlane(func(dp *switchdp.Switch) {
@@ -129,7 +129,7 @@ func TestBatchedErrTimeout(t *testing.T) {
 	cn, sw, servers := errorRack(t,
 		lockserver.Config{},
 		switchdp.Config{MaxLocks: 4, TotalSlots: 16, Priorities: 1})
-	if err := InstallSwitchLock(sw, servers, 9, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+	if err := installSwitchLock(sw, servers, 9, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	c := batchedClient(t, cn, sw)

@@ -933,30 +933,6 @@ func (s *Server) WithLockServer(fn func(ls *lockserver.Server)) {
 	fn(s.ls)
 }
 
-// InstallSwitchLock makes lockID switch-resident on a live rack: the
-// regions (one per priority bank) are installed in the switch data plane
-// and the owning lock server (by RSS steering) releases ownership.
-//
-// Deprecated: use ctrlplane.Controller.InstallLock (or the SwitchLocks
-// field of ctrlplane.Config), which installs chain-wide — on a replicated
-// chain this helper touches only one member, leaving replicas unable to
-// apply the op stream. It remains for single-switch racks wired by hand
-// and will be removed once no caller is left.
-func InstallSwitchLock(sw *Switch, servers []*Server, lockID uint32, regions []switchdp.Region) error {
-	var err error
-	sw.WithDataPlane(func(dp *switchdp.Switch) {
-		err = dp.CtrlInstallLock(lockID, regions)
-	})
-	if err != nil {
-		return err
-	}
-	srv := servers[lockserver.RSSCore(lockID, len(servers))]
-	srv.WithLockServer(func(ls *lockserver.Server) {
-		err = ls.CtrlReleaseOwnership(lockID)
-	})
-	return err
-}
-
 // Close stops the node.
 func (s *Server) Close() error {
 	select {

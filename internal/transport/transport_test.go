@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
-	"netlock/internal/wire"
 )
 
 // rack starts a switch and n lock servers on loopback and wires them up.
@@ -44,9 +44,29 @@ func rack(t *testing.T, n int, dp switchdp.Config) (*Switch, []*Server) {
 // two-sided move core.Manager performs (§4.3).
 func installLock(t *testing.T, sw *Switch, servers []*Server, lockID uint32, region switchdp.Region) {
 	t.Helper()
-	if err := InstallSwitchLock(sw, servers, lockID, []switchdp.Region{region}); err != nil {
+	if err := installSwitchLock(sw, servers, lockID, []switchdp.Region{region}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// installSwitchLock makes lockID switch-resident on a single-switch rack
+// wired by hand: the regions (one per priority bank) are installed in the
+// switch data plane and the owning lock server (by RSS steering) releases
+// ownership. It touches one switch only; replicated chains place locks
+// through ctrlplane.Controller.InstallLock.
+func installSwitchLock(sw *Switch, servers []*Server, lockID uint32, regions []switchdp.Region) error {
+	var err error
+	sw.WithDataPlane(func(dp *switchdp.Switch) {
+		err = dp.CtrlInstallLock(lockID, regions)
+	})
+	if err != nil {
+		return err
+	}
+	srv := servers[lockserver.RSSCore(lockID, len(servers))]
+	srv.WithLockServer(func(ls *lockserver.Server) {
+		err = ls.CtrlReleaseOwnership(lockID)
+	})
+	return err
 }
 
 func client(t *testing.T, sw *Switch) *Client {
@@ -246,18 +266,6 @@ func TestAcquireCancel(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled acquire did not return")
 	}
-}
-
-// TestAcquireTimeoutShim exercises the deprecated duration-based entry
-// point, which must keep working for one release.
-func TestAcquireTimeoutShim(t *testing.T) {
-	sw, _ := rack(t, 1, dpConfig())
-	c := client(t, sw)
-	g, err := c.AcquireTimeout(15, wire.Exclusive, timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Release()
 }
 
 func TestBadConfigs(t *testing.T) {

@@ -112,16 +112,11 @@ type Config struct {
 	// the ToR sees every request once regardless of which pipeline
 	// processes it.
 	Isolation bool
-	// PlacementInterval runs the memory-management loop (measure demand,
-	// knapsack-allocate, migrate locks) at this period. Zero disables the
-	// automatic loop; PlacementTick can still be called manually.
-	PlacementInterval time.Duration
 	// RebalanceInterval runs the online rebalancer at this period: each
 	// tick folds the demand window into a smoothed model and executes up to
 	// RebalanceBudget live moves per shard — queue state migrating intact,
 	// no drain wait (internal/rebalance). Zero disables the automatic loop;
-	// RebalanceTick can still be called manually. The rebalancer and the
-	// placement loop consume the same demand gauges — enable one, not both.
+	// RebalanceTick can still be called manually.
 	RebalanceInterval time.Duration
 	// RebalanceBudget caps live moves per shard per rebalance tick
 	// (default 4).
@@ -299,7 +294,7 @@ type waiterKey struct {
 	txn  uint64
 }
 
-// New builds a Manager. Background loops (lease sweep, placement) start
+// New builds a Manager. Background loops (lease sweep, rebalancer) start
 // immediately when configured.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
@@ -331,7 +326,6 @@ func New(cfg Config) *Manager {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{waiters: make(map[waiterKey]chan wire.Header), o: m.obs.Stripe(i)}
 		sh.mgr = core.New(core.Config{
-			PauseBusyMoves: true,
 			Switch: switchdp.Config{
 				MaxLocks:       perLocks,
 				TotalSlots:     perSlots,
@@ -350,10 +344,6 @@ func New(cfg Config) *Manager {
 	if cfg.SweepInterval > 0 && cfg.DefaultLease > 0 {
 		m.wg.Add(1)
 		go m.sweepLoop()
-	}
-	if cfg.PlacementInterval > 0 {
-		m.wg.Add(1)
-		go m.placementLoop()
 	}
 	m.initRebalance()
 	if cfg.RebalanceInterval > 0 {
@@ -568,7 +558,7 @@ func (m *Manager) Acquire(ctx context.Context, lockID uint32, mode Mode, opts ..
 // the given shared-queue slot count (rounded up to one slot per priority
 // bank). It fails with ErrNoCapacity when the switch's lock table or queue
 // memory cannot host the lock. Already-resident locks are a no-op. The
-// placement loop may later evict preinstalled locks that see no traffic.
+// rebalancer may later demote preinstalled locks that see no traffic.
 func (m *Manager) Preinstall(lockID uint32, slots int) error {
 	if m.closed.Load() {
 		return ErrClosed
@@ -669,37 +659,6 @@ func (m *Manager) SetTenantQuota(t uint8, perSec float64, burst float64) {
 	m.isoMu.Lock()
 	defer m.isoMu.Unlock()
 	m.meter.CtrlSetRate(int(t), perSec, burst)
-}
-
-// PlacementTick runs one round of the memory-management loop on every
-// shard: close the measurement window, compute the optimal allocation over
-// the shard's slice of switch memory, and migrate drained locks between
-// switch and servers. It reports how many locks moved in total. Shards tick
-// independently — switch capacity is statically partitioned, so there is no
-// cross-shard allocation decision to coordinate.
-func (m *Manager) PlacementTick(window time.Duration) (installed, removed int) {
-	if m.closed.Load() {
-		return 0, 0
-	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			break
-		}
-		demands := sh.mgr.MeasureDemands(window.Seconds())
-		rep := sh.mgr.Reallocate(demands, nil)
-		for _, e := range rep.Emits {
-			sh.routeServerEmit(e)
-		}
-		for i := range rep.SwitchPushes {
-			sh.inject(&rep.SwitchPushes[i])
-		}
-		installed += len(rep.Installed)
-		removed += len(rep.Removed)
-		sh.mu.Unlock()
-	}
-	return installed, removed
 }
 
 // Stats is a snapshot of processing counters across the instance.
@@ -862,20 +821,6 @@ func (m *Manager) sweepLoop() {
 				}
 				sh.mu.Unlock()
 			}
-		}
-	}
-}
-
-func (m *Manager) placementLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.PlacementInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			m.PlacementTick(m.cfg.PlacementInterval)
 		}
 	}
 }

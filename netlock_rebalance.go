@@ -10,8 +10,9 @@ import (
 
 // Embedded-plane rebalancer parity: the same internal/rebalance loop that
 // drives the UDP rack's ctrlplane.Controller drives each shard's
-// core.Manager here, through the shardMover adapter. One loop per shard —
-// switch capacity is statically partitioned (see PlacementTick), so each
+// core.Manager here, through the shardMover adapter. It is the embedded
+// plane's only placement loop. One loop per shard — switch capacity is
+// statically partitioned (Config.SwitchSlots is divided evenly), so each
 // shard plans over its own slice of the register space and there is no
 // cross-shard allocation decision to coordinate.
 
@@ -28,6 +29,14 @@ type RebalanceMove struct {
 	// Err is non-nil when the move failed (capacity race, lock mid-failover);
 	// a failed move is re-planned on the next tick.
 	Err error
+}
+
+// rebalanceMove is the exported view of one shard's move report.
+func rebalanceMove(shard int, r rebalance.Report, err error) RebalanceMove {
+	return RebalanceMove{
+		Shard: shard, LockID: r.LockID, ToSwitch: r.ToSwitch,
+		Granted: r.Granted, Waiting: r.Waiting, Err: err,
+	}
 }
 
 // RebalanceStats aggregates the per-shard rebalance loop counters.
@@ -80,10 +89,7 @@ func (sm *shardMover) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Repor
 	if sm.sh.closed {
 		return rebalance.Report{}, ErrClosed
 	}
-	rep, err := sm.sh.mgr.MoveToSwitch(lockID, slots)
-	return rebalance.Report{
-		LockID: rep.LockID, ToSwitch: true, Granted: rep.Granted, Waiting: rep.Waiting,
-	}, err
+	return sm.sh.mgr.MoveToSwitch(lockID, slots)
 }
 
 func (sm *shardMover) MoveToServer(lockID uint32) (rebalance.Report, error) {
@@ -98,9 +104,7 @@ func (sm *shardMover) MoveToServer(lockID uint32) (rebalance.Report, error) {
 		// switch-resident settle behind the migrated queue.
 		sm.sh.routeServerEmits(emits)
 	}
-	return rebalance.Report{
-		LockID: rep.LockID, ToSwitch: false, Granted: rep.Granted, Waiting: rep.Waiting,
-	}, err
+	return rep, err
 }
 
 // initRebalance builds one rebalance loop per shard. Called from New.
@@ -113,10 +117,7 @@ func (m *Manager) initRebalance() {
 		if hook := m.cfg.OnRebalanceMove; hook != nil {
 			shardIdx := i
 			rcfg.OnMove = func(r rebalance.Report, err error) {
-				hook(RebalanceMove{
-					Shard: shardIdx, LockID: r.LockID, ToSwitch: r.ToSwitch,
-					Granted: r.Granted, Waiting: r.Waiting, Err: err,
-				})
+				hook(rebalanceMove(shardIdx, r, err))
 			}
 		}
 		sh.rebal = rebalance.New(&shardMover{sh: sh}, rcfg)
@@ -184,10 +185,7 @@ func (m *Manager) MoveToSwitch(lockID uint32, slots int) (RebalanceMove, error) 
 		return RebalanceMove{}, ErrClosed
 	}
 	rep, err := sh.mgr.MoveToSwitch(lockID, uint64(slots))
-	return RebalanceMove{
-		Shard: shardIdx, LockID: rep.LockID, ToSwitch: true,
-		Granted: rep.Granted, Waiting: rep.Waiting, Err: err,
-	}, err
+	return rebalanceMove(shardIdx, rep, err), err
 }
 
 // MoveToServer live-demotes a switch-resident lock to its home server,
@@ -208,10 +206,7 @@ func (m *Manager) MoveToServer(lockID uint32) (RebalanceMove, error) {
 	if err == nil {
 		sh.routeServerEmits(emits)
 	}
-	return RebalanceMove{
-		Shard: shardIdx, LockID: rep.LockID, ToSwitch: false,
-		Granted: rep.Granted, Waiting: rep.Waiting, Err: err,
-	}, err
+	return rebalanceMove(shardIdx, rep, err), err
 }
 
 // AddServer grows every shard's server tier by one and migrates the

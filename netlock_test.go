@@ -255,40 +255,6 @@ func TestContextCancellation(t *testing.T) {
 	g.Release()
 }
 
-func TestPlacementTickMovesHotLocks(t *testing.T) {
-	m := New(Config{Servers: 1})
-	defer m.Close()
-	ctx := context.Background()
-	// Generate traffic on a few locks (served by the lock server first:
-	// new locks start server-owned, §4.3).
-	for i := 0; i < 50; i++ {
-		g, err := m.Acquire(ctx, uint32(i%5)+1, Exclusive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Release()
-	}
-	before := m.Stats().SwitchResidentLocks
-	installed, _ := m.PlacementTick(time.Second)
-	if installed == 0 {
-		t.Fatalf("placement should move hot locks to the switch")
-	}
-	after := m.Stats().SwitchResidentLocks
-	if after <= before {
-		t.Fatalf("resident locks: %d -> %d", before, after)
-	}
-	// Subsequent requests are switch-processed.
-	pre := m.Stats().Switch.GrantsImmediate
-	g, err := m.Acquire(ctx, 1, Exclusive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Release()
-	if m.Stats().Switch.GrantsImmediate != pre+1 {
-		t.Fatalf("hot lock not switch-processed")
-	}
-}
-
 func TestFailoverWithLeases(t *testing.T) {
 	m := New(Config{
 		Servers:       1,
@@ -302,7 +268,7 @@ func TestFailoverWithLeases(t *testing.T) {
 		g, _ := m.Acquire(ctx, 1, Exclusive)
 		g.Release()
 	}
-	m.PlacementTick(time.Second)
+	m.RebalanceTick()
 	g, err := m.Acquire(ctx, 1, Exclusive)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"netlock/internal/check"
 	"netlock/internal/wire"
@@ -115,10 +114,10 @@ func runShardEquivalence(t *testing.T, seed int64, shards int) {
 	for step := 0; step < steps; step++ {
 		switch {
 		case step > 0 && step%50 == 0:
-			// Interleave placement so locks migrate switch<->server
-			// mid-script in both managers.
-			a.PlacementTick(time.Millisecond)
-			b.PlacementTick(time.Millisecond)
+			// Interleave the rebalancer so locks move live
+			// switch<->server mid-script in both managers.
+			a.RebalanceTick()
+			b.RebalanceTick()
 		case rng.Float64() < 0.55 || len(granted) == 0:
 			nextTxn++
 			lock := uint32(rng.Intn(locks) + 1)
@@ -161,6 +160,10 @@ func runShardEquivalence(t *testing.T, seed int64, shards int) {
 		}
 	}
 
+	if a.RebalanceStats().Promotions == 0 || b.RebalanceStats().Promotions == 0 {
+		t.Fatalf("no live move happened mid-script: 1-shard %+v, %d-shard %+v",
+			a.RebalanceStats(), shards, b.RebalanceStats())
+	}
 	// Both managers must also agree on who is still waiting at the end.
 	if len(ca.chans) != len(cb.chans) {
 		t.Fatalf("pending waiters diverge: 1-shard=%d %d-shard=%d (replay: %s)",
