@@ -190,8 +190,9 @@ func BenchmarkEmbeddedAcquireRelease(b *testing.B) {
 // land on different shards, so the sharded variants should scale with
 // cores); "contended" funnels every worker through one exclusive lock.
 // The 1shard variants pin Config.Shards to 1 and are the single-mutex
-// baseline the sharded numbers are compared against (see scripts/bench.sh
-// and BENCH_embedded.json).
+// baseline the sharded numbers are compared against (benchstat recipe in
+// scripts/bench.sh). The embedded plane's end-to-end numbers are the
+// emb_disjoint and emb_contended workloads of bench/.
 func BenchmarkEmbeddedAcquireReleaseParallel(b *testing.B) {
 	b.Run("disjoint/1shard", func(b *testing.B) { benchEmbeddedParallel(b, 1, true) })
 	b.Run("disjoint/sharded", func(b *testing.B) { benchEmbeddedParallel(b, 0, true) })

@@ -5,8 +5,6 @@
 //	benchrunner            # full-scale run of every figure
 //	benchrunner -quick     # CI-scale run
 //	benchrunner -fig 10    # a single figure
-//	benchrunner -embedded  # embedded hot-path benches -> BENCH_embedded.json
-//	benchrunner -obs       # observability overhead benches -> BENCH_obs.json
 package main
 
 import (
@@ -23,33 +21,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced windows and sweep densities")
 	fig := flag.String("fig", "all", "figure to run: 8a,8b,8cd,9,10,11,12a,12b,13a,13b,14a,14b,15,calib or all")
 	seed := flag.Int64("seed", 1, "testbed seed")
-	embedded := flag.Bool("embedded", false, "benchmark the embedded hot path and emit a JSON report instead of running figures")
-	obsMode := flag.Bool("obs", false, "benchmark the observability layer's overhead (metrics off vs on) and emit a JSON report")
-	out := flag.String("out", "", "output path ('-' for stdout; default BENCH_embedded.json / BENCH_obs.json by mode)")
 	flag.Parse()
-
-	if *embedded {
-		path := *out
-		if path == "" {
-			path = "BENCH_embedded.json"
-		}
-		if err := runEmbedded(path, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *obsMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_obs.json"
-		}
-		if err := runObs(path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	o := harness.Options{Quick: *quick, Out: os.Stdout, Seed: *seed}
 	figs := map[string]func(){

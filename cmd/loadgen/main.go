@@ -13,11 +13,6 @@
 // independent of completions:
 //
 //	loadgen -switch 127.0.0.1:9000 -rate 500000 -duration 30s
-//
-// -batch 1 disables client-side batching (one datagram per op), which is
-// the baseline the batched transport is measured against:
-//
-//	loadgen -compare            # batched vs unbatched -> BENCH_transport.json
 package main
 
 import (
@@ -55,18 +50,16 @@ func main() {
 	flag.StringVar(&cfg.mode, "mode", "shared", "lock mode: shared, exclusive, or mixed (50/50)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop aggregate ops/sec (0: closed loop)")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "measurement duration")
-	flag.IntVar(&cfg.batch, "batch", 0, "client MaxBatch: 0 = full frames, 1 = unbatched baseline")
 	flag.DurationVar(&cfg.flush, "flush", 0, "client flush interval (0: transport default)")
 	flag.DurationVar(&cfg.rebalanceEvery, "rebalance", 0, "self-hosted rack: tick the online lock-placement rebalancer at this interval (0 disables; disables preinstall so residency is earned)")
 	flag.IntVar(&cfg.rebalanceBudget, "rebalance-budget", 0, "max live migrations per rebalance tick (0: rebalance default)")
 	report := flag.Duration("report", time.Second, "live readout interval (0 disables)")
-	compare := flag.Bool("compare", false, "run batched vs unbatched back to back and emit a JSON report")
 	rebalanceBench := flag.Bool("rebalance-bench", false, "measure hot-set drift with static placement vs the online rebalancer and emit a JSON report")
 	multirackBench := flag.Bool("multirack-bench", false, "measure a 1-rack vs -racks fabric on the same workload and emit a JSON report")
 	flag.IntVar(&cfg.racks, "racks", 1, "self-host a multi-rack fabric with this many racks (1: plain single rack; -multirack-bench defaults to 4)")
 	flag.IntVar(&cfg.shards, "shards", 64, "fabric shard-map granularity (with -racks > 1)")
-	out := flag.String("out", "", "JSON output path for -compare/-workload ('-' for stdout)")
-	quick := flag.Bool("quick", false, "shorter -compare run")
+	out := flag.String("out", "", "JSON output path for -workload/-failover/-rebalance-bench/-multirack-bench ('-' for stdout)")
+	quick := flag.Bool("quick", false, "shorter -failover/-rebalance-bench/-multirack-bench run")
 	failover := flag.Bool("failover", false, "measure head-failure recovery on a 3-member chain vs a single-switch baseline and emit a JSON report")
 	workload := flag.String("workload", "", "run a named adversarial scenario from internal/scenario ('all' for the full suite); skips the load loop")
 	plane := flag.String("plane", "both", "scenario plane: embedded, udp, or both")
@@ -100,17 +93,6 @@ func main() {
 		return
 	}
 
-	if *compare {
-		path := *out
-		if path == "" {
-			path = "BENCH_transport.json"
-		}
-		if err := runCompare(cfg, path, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *failover {
 		path := *out
 		if path == "" {
@@ -165,7 +147,6 @@ type loadConfig struct {
 	mode            string
 	rate            float64
 	duration        time.Duration
-	batch           int
 	flush           time.Duration
 	rebalanceEvery  time.Duration
 	rebalanceBudget int
@@ -264,7 +245,6 @@ func runLoad(cfg loadConfig, report time.Duration) (result, error) {
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		ccfg := transport.ClientConfig{
-			MaxBatch:      cfg.batch,
 			FlushInterval: cfg.flush,
 			Obs:           reg.Stripe(1 + i),
 		}
@@ -327,8 +307,8 @@ func runLoad(cfg loadConfig, report time.Duration) (result, error) {
 		Errors:    errs.Load(),
 		Seconds:   elapsed,
 		MRPS:      float64(done.Load()) / elapsed / 1e6,
-		P50Us:     float64(e2e.Percentile(0.50)) / 1e3,
-		P99Us:     float64(e2e.Percentile(0.99)) / 1e3,
+		P50Us:     float64(e2e.Percentile(50)) / 1e3,
+		P99Us:     float64(e2e.Percentile(99)) / 1e3,
 		FramesOut: sn.Counter(obs.CtrFramesOut),
 		AvgBatch:  batchHist.Mean(),
 	}
@@ -449,92 +429,11 @@ func readout(reg *obs.Registry, done *atomic.Uint64, every time.Duration, stop c
 			time.Since(started).Seconds(),
 			float64(cur-last)/every.Seconds()/1e6,
 			cur,
-			float64(e2e.Percentile(0.50))/1e3,
-			float64(e2e.Percentile(0.99))/1e3,
+			float64(e2e.Percentile(50))/1e3,
+			float64(e2e.Percentile(99))/1e3,
 			sn.Stage(obs.StageEgressBatch).Mean())
 		last = cur
 	}
-}
-
-// compareReport is the BENCH_transport.json document.
-type compareReport struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"go_maxprocs"`
-
-	DurationS float64 `json:"duration_s"`
-	Clients   int     `json:"clients"`
-	Workers   int     `json:"workers"`
-	Locks     int     `json:"locks"`
-	Mode      string  `json:"mode"`
-
-	Unbatched result `json:"unbatched"`
-	Batched   result `json:"batched"`
-
-	// SpeedupBatched is batched MRPS over unbatched MRPS on the same
-	// closed-loop workload — the syscall-amortization win of batch frames.
-	SpeedupBatched float64 `json:"speedup_batched_vs_unbatched"`
-}
-
-// runCompare measures the same closed-loop workload unbatched (MaxBatch 1)
-// and batched (full frames) on fresh self-hosted racks and writes the
-// comparison as JSON.
-func runCompare(cfg loadConfig, path string, quick bool) error {
-	cfg.switchAddr = "" // comparison is only meaningful on identical racks
-	cfg.rate = 0
-	cfg.rebalanceEvery = 0 // both legs run the static preinstalled placement
-	cfg.duration = 5 * time.Second
-	if quick {
-		cfg.duration = 2 * time.Second
-	}
-
-	legs := []struct {
-		name  string
-		batch int
-		res   *result
-	}{{"unbatched", 1, nil}, {"batched", 0, nil}}
-	rep := compareReport{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		DurationS:  cfg.duration.Seconds(),
-		Clients:    cfg.clients,
-		Workers:    cfg.workers,
-		Locks:      cfg.locks,
-		Mode:       cfg.mode,
-	}
-	for i := range legs {
-		c := cfg
-		c.batch = legs[i].batch
-		fmt.Fprintf(os.Stderr, "loadgen: measuring %s (%v)...\n", legs[i].name, c.duration)
-		res, err := runLoad(c, 0)
-		if err != nil {
-			return fmt.Errorf("%s leg: %w", legs[i].name, err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: %s: %s\n", legs[i].name, res)
-		legs[i].res = &res
-	}
-	rep.Unbatched, rep.Batched = *legs[0].res, *legs[1].res
-	if rep.Unbatched.MRPS > 0 {
-		rep.SpeedupBatched = rep.Batched.MRPS / rep.Unbatched.MRPS
-	}
-
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "loadgen: wrote %s (batched %.2fx unbatched)\n", path, rep.SpeedupBatched)
-	return nil
 }
 
 // failoverReport is the BENCH_failover.json document: the same closed-loop
@@ -658,7 +557,6 @@ func runFailoverLeg(cfg loadConfig) (failoverResult, error) {
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
-			MaxBatch:      cfg.batch,
 			FlushInterval: cfg.flush,
 			RetryInterval: 20 * time.Millisecond,
 			Obs:           reg.Stripe(1 + i),
@@ -730,8 +628,8 @@ func runFailoverLeg(cfg loadConfig) (failoverResult, error) {
 			Errors:    errs.Load(),
 			Seconds:   elapsed,
 			MRPS:      float64(done.Load()) / elapsed / 1e6,
-			P50Us:     float64(e2e.Percentile(0.50)) / 1e3,
-			P99Us:     float64(e2e.Percentile(0.99)) / 1e3,
+			P50Us:     float64(e2e.Percentile(50)) / 1e3,
+			P99Us:     float64(e2e.Percentile(99)) / 1e3,
 			FramesOut: sn.Counter(obs.CtrFramesOut),
 			AvgBatch:  batchHist.Mean(),
 		},

@@ -192,7 +192,6 @@ func runFabricLeg(cfg loadConfig, racks, shards int) (fabricResult, error) {
 	var clients []*transport.Client
 	for i := 0; i < cfg.clients; i++ {
 		c, err := f.NewClient(transport.ClientConfig{
-			MaxBatch:      cfg.batch,
 			FlushInterval: cfg.flush,
 			Obs:           reg.Stripe(1 + i),
 		})
@@ -247,8 +246,8 @@ func runFabricLeg(cfg loadConfig, racks, shards int) (fabricResult, error) {
 			Errors:    errs.Load(),
 			Seconds:   elapsed,
 			MRPS:      float64(done.Load()) / elapsed / 1e6,
-			P50Us:     float64(e2e.Percentile(0.50)) / 1e3,
-			P99Us:     float64(e2e.Percentile(0.99)) / 1e3,
+			P50Us:     float64(e2e.Percentile(50)) / 1e3,
+			P99Us:     float64(e2e.Percentile(99)) / 1e3,
 			FramesOut: sn.Counter(obs.CtrFramesOut),
 			AvgBatch:  sn.Stage(obs.StageEgressBatch).Mean(),
 		},

@@ -195,7 +195,6 @@ func runDriftLeg(cfg loadConfig, hotN int, rebalanced bool) (driftResult, error)
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
-			MaxBatch:      cfg.batch,
 			FlushInterval: cfg.flush,
 			// Acquires caught mid-move are answered with a redirect or not at
 			// all; a tight retransmit keeps a move from stranding a worker
@@ -266,8 +265,8 @@ func runDriftLeg(cfg loadConfig, hotN int, rebalanced bool) (driftResult, error)
 			Errors:    errs.Load(),
 			Seconds:   elapsed,
 			MRPS:      float64(done.Load()) / elapsed / 1e6,
-			P50Us:     float64(e2e.Percentile(0.50)) / 1e3,
-			P99Us:     float64(e2e.Percentile(0.99)) / 1e3,
+			P50Us:     float64(e2e.Percentile(50)) / 1e3,
+			P99Us:     float64(e2e.Percentile(99)) / 1e3,
 			FramesOut: sn.Counter(obs.CtrFramesOut),
 			AvgBatch:  batchHist.Mean(),
 		},

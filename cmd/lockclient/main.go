@@ -35,7 +35,6 @@ func main() {
 	think := flag.Duration("think", 0, "hold time per lock")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-acquire timeout")
 	tenant := flag.Uint("tenant", 0, "tenant ID stamped on every acquire")
-	batch := flag.Int("batch", 0, "client MaxBatch: 0 = full batch frames, 1 = one datagram per op")
 	flush := flag.Duration("flush", 0, "client batch flush interval (0: transport default)")
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 	for w := 0; w < *concurrency; w++ {
 		c, err := transport.NewClientConfig(transport.ClientConfig{
 			Switches:      strings.Split(*swAddr, ","),
-			MaxBatch:      *batch,
 			FlushInterval: *flush,
 			OnFailover: func(epoch uint64, head string) {
 				// Every worker's client sees the announcement; log each

@@ -25,7 +25,6 @@ type fabricConfig struct {
 	preinstall      uint
 	slotsPerLock    uint64
 	lease           time.Duration
-	egressFlush     time.Duration
 	metrics         string
 	rebalanceEvery  time.Duration
 }
@@ -56,7 +55,6 @@ func runFabric(cfg fabricConfig) {
 				DefaultLeaseNs: int64(cfg.lease),
 				Obs:            reg.Stripe(1),
 			},
-			EgressFlush: cfg.egressFlush,
 		},
 	})
 	if err != nil {

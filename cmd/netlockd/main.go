@@ -51,7 +51,6 @@ func main() {
 	preinstall := flag.Uint("preinstall", 0, "preinstall locks 1..N in the switch")
 	slotsPerLock := flag.Uint64("slots-per-lock", 16, "queue slots per preinstalled lock")
 	lease := flag.Duration("lease", 500*time.Millisecond, "default lock lease (0 disables)")
-	egressFlush := flag.Duration("egress-flush", 0, "hold switch egress batches open and flush on this timer (0: flush per ingress datagram)")
 	metrics := flag.String("metrics", "127.0.0.1:0", "metrics/pprof HTTP listen address (empty disables)")
 	rebalanceEvery := flag.Duration("rebalance", 0, "online lock-placement rebalance interval (0 disables the loop)")
 	rebalanceBudget := flag.Int("rebalance-budget", 0, "max live migrations per rebalance tick (0: rebalance default)")
@@ -71,7 +70,6 @@ func main() {
 			preinstall:     *preinstall,
 			slotsPerLock:   *slotsPerLock,
 			lease:          *lease,
-			egressFlush:    *egressFlush,
 			metrics:        *metrics,
 			rebalanceEvery: *rebalanceEvery,
 		})
@@ -99,8 +97,7 @@ func main() {
 			DefaultLeaseNs: int64(*lease),
 			Obs:            reg.Stripe(1),
 		},
-		HeadListen:  *listen,
-		EgressFlush: *egressFlush,
+		HeadListen: *listen,
 	})
 	if err != nil {
 		log.Fatalf("start rack: %v", err)

@@ -54,9 +54,8 @@ type Config struct {
 	// initial head) only — a daemon can advertise a stable address while
 	// the rest of the rack takes ephemeral ports.
 	HeadListen string
-	// SweepInterval and EgressFlush pass through to each switch.
+	// SweepInterval passes through to each switch.
 	SweepInterval time.Duration
-	EgressFlush   time.Duration
 	// SwitchLocks are installed chain-wide before New returns.
 	SwitchLocks []SwitchLock
 	// Quotas are configured chain-wide before New returns. With a
@@ -160,7 +159,6 @@ func New(cfg Config) (*Topology, error) {
 			DataPlane:     dp,
 			Servers:       srvAddrs,
 			SweepInterval: cfg.SweepInterval,
-			EgressFlush:   cfg.EgressFlush,
 			Net:           t.net,
 		})
 		if err != nil {

@@ -64,19 +64,6 @@ func (sn *Snapshot) Merge(other *Snapshot) {
 	sn.Gauges = append(sn.Gauges, other.Gauges...)
 }
 
-// DeltaCounters returns sn's counters minus prev's, for periodic-delta
-// logging. prev may be nil (all-zero baseline).
-func (sn *Snapshot) DeltaCounters(prev *Snapshot) [NumCounters]uint64 {
-	var d [NumCounters]uint64
-	for c := range sn.Counters {
-		d[c] = sn.Counters[c]
-		if prev != nil {
-			d[c] -= prev.Counters[c]
-		}
-	}
-	return d
-}
-
 // String renders a compact one-line summary: counters plus the p50/p99 of
 // each non-empty stage, in microseconds.
 func (sn *Snapshot) String() string {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -79,13 +80,29 @@ func newProbe(t *testing.T) *probe {
 	return &probe{t: t, conn: conn}
 }
 
+// send writes h as one bare header, the switch's external ingress format.
 func (p *probe) send(h *wire.Header, to string) {
+	p.t.Helper()
+	p.write(h.AppendTo(nil), to)
+}
+
+// sendFrame writes h as a one-op batch frame, the format nodes send each
+// other.
+func (p *probe) sendFrame(h *wire.Header, to string) {
+	p.t.Helper()
+	var w wire.BatchWriter
+	w.Reset(nil)
+	w.Append(h)
+	p.write(w.Frame(), to)
+}
+
+func (p *probe) write(b []byte, to string) {
 	p.t.Helper()
 	ap, err := resolveAddrPort(to)
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	if _, err := p.conn.WriteToUDPAddrPort(h.AppendTo(nil), ap); err != nil {
+	if _, err := p.conn.WriteToUDPAddrPort(b, ap); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -251,6 +268,90 @@ func TestChainRelayToHead(t *testing.T) {
 	}
 	if _, ok := p.recv(wire.OpGrant, timeout); !ok {
 		t.Fatal("relayed acquire was not granted")
+	}
+}
+
+// TestBareHeaderIngress pins the asymmetric ingress contract. The switch
+// serves a datagram holding one bare wire.Header, the paper's
+// one-request-per-packet format; every probe test in this file sends it
+// that way. Clients and lock servers hear only from switches, which send
+// batch frames, so they drop a bare header unread: no grant, no state
+// change. Each case follows the bare header with a framed op from the
+// same socket; loopback delivers the two in order, so once the framed op
+// has taken effect the bare one has been read.
+func TestBareHeaderIngress(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"client drops", func(t *testing.T) {
+			// The probe stands in for the client's switch: it reads the
+			// client's acquires and forges every datagram the client gets.
+			p := newProbe(t)
+			c, err := NewClientConfig(ClientConfig{Switch: p.conn.LocalAddr().String(), RetryInterval: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			to := c.conn.LocalAddr().String()
+			ctx := context.Background()
+			var grants [2]wire.Header
+			var handles [2]*AsyncAcquire
+			for i := range grants {
+				if handles[i], err = c.AcquireAsync(ctx, uint32(3+i), netlock.Exclusive); err != nil {
+					t.Fatal(err)
+				}
+				h, ok := p.recv(wire.OpAcquire, timeout)
+				if !ok {
+					t.Fatalf("acquire %d never reached the probe", i)
+				}
+				grants[i] = h
+				grants[i].Op = wire.OpGrant
+			}
+			p.send(&grants[0], to)
+			p.sendFrame(&grants[1], to)
+			wctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			if _, err := handles[1].Wait(wctx); err != nil {
+				t.Fatalf("framed grant: %v", err)
+			}
+			c.mu.Lock()
+			_, pending := c.acquires[handles[0].key]
+			n := len(c.acquires)
+			c.mu.Unlock()
+			if !pending || n != 1 {
+				t.Fatalf("bare grant was decoded: acquire pending=%v, %d in flight", pending, n)
+			}
+		}},
+		{"server drops", func(t *testing.T) {
+			_, srv := chainRack(t, 1, dpConfig())
+			p := newProbe(t)
+			p.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: 5, TxnID: 51}, srv.Addr())
+			p.sendFrame(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: 6, TxnID: 52}, srv.Addr())
+			deadline := time.Now().Add(timeout)
+			for {
+				var bare, framed int
+				var st lockserver.Stats
+				srv.WithLockServer(func(ls *lockserver.Server) {
+					bare, _ = ls.CtrlQueueDepth(5)
+					framed, _ = ls.CtrlQueueDepth(6)
+					st = ls.Stats()
+				})
+				if framed == 1 {
+					if bare != 0 || st.Acquires != 1 {
+						t.Fatalf("bare acquire was decoded: lock 5 depth %d, %d acquires processed", bare, st.Acquires)
+					}
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("server never processed the framed acquire")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, tc.run)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // multiplexing any number of in-flight operations over one socket. Client
 // is safe for concurrent use.
 //
-// Outgoing ops accumulate into batch frames (up to MaxBatch per datagram)
-// and flush adaptively: immediately once every outstanding op is buffered
-// (a lone synchronous caller never waits on the batcher), when the frame
-// fills, and on the FlushInterval timer as a backstop. Completions arrive
+// Outgoing ops accumulate into batch frames (up to wire.MaxBatchOps per
+// datagram) and flush adaptively: immediately once every outstanding op is
+// buffered (a lone synchronous caller never waits on the batcher), when the
+// frame fills, and on the FlushInterval timer as a backstop. Completions arrive
 // on the shared read loop, which matches them to in-flight ops by
 // (lock, txn).
 //
@@ -54,7 +54,6 @@ type Client struct {
 	localPort uint16
 	o         *obs.Stripe
 
-	maxBatch   int
 	flushEvery time.Duration
 	retryEvery time.Duration
 	onFailover func(epoch uint64, head string)
@@ -80,8 +79,6 @@ type Client struct {
 	// grants holds delivered, unreleased grants so a duplicated grant
 	// datagram is distinguishable from a grant for an abandoned op.
 	grants map[pendKey]*Grant
-	// scratch encodes bare headers when MaxBatch == 1.
-	scratch [wire.HeaderLen]byte
 	// rackOut is sweep scratch: per-rack outstanding-op counts.
 	rackOut []int
 
@@ -130,9 +127,6 @@ type ClientConfig struct {
 	OnFailover func(epoch uint64, head string)
 	// Net is the socket factory; nil means real UDP.
 	Net Network
-	// MaxBatch caps ops per egress datagram. 0 means wire.MaxBatchOps;
-	// 1 sends one bare header per datagram (the unbatched baseline).
-	MaxBatch int
 	// FlushInterval is the backstop flush timer for buffered ops.
 	// Default 500µs. Most flushes happen adaptively before it fires.
 	FlushInterval time.Duration
@@ -206,13 +200,6 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: client socket: %w", err)
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 || maxBatch > wire.MaxBatchOps {
-		maxBatch = wire.MaxBatchOps
-	}
-	if cfg.MaxBatch == 1 {
-		maxBatch = 1
-	}
 	flush := cfg.FlushInterval
 	if flush <= 0 {
 		flush = 500 * time.Microsecond
@@ -227,7 +214,6 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 		addrRack:   addrRack,
 		smap:       smap,
 		o:          cfg.Obs,
-		maxBatch:   maxBatch,
 		flushEvery: flush,
 		retryEvery: retry,
 		onFailover: cfg.OnFailover,
@@ -258,10 +244,8 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 	go c.readLoop()
 	c.wg.Add(1)
 	go c.sweepLoop()
-	if c.maxBatch > 1 {
-		c.wg.Add(1)
-		go c.flushLoop()
-	}
+	c.wg.Add(1)
+	go c.flushLoop()
 	return c, nil
 }
 
@@ -567,19 +551,12 @@ func (c *Client) rackFor(lockID uint32) int {
 	return 0
 }
 
-// enqueueOp appends one op to its rack's outgoing frame (or writes it
-// straight out when MaxBatch == 1). Caller holds c.mu.
+// enqueueOp appends one op to its rack's outgoing frame, flushing the frame
+// first if it is full. Caller holds c.mu.
 func (c *Client) enqueueOp(h *wire.Header) {
 	rk := c.rackFor(h.LockID)
 	r := &c.racks[rk]
-	if c.maxBatch <= 1 {
-		buf := h.AppendTo(c.scratch[:0])
-		c.conn.WriteToUDPAddrPort(buf, r.targets[r.cur])
-		c.o.Inc(obs.CtrFramesOut)
-		c.o.Observe(obs.StageEgressBatch, 1)
-		return
-	}
-	if r.bw.Count() >= c.maxBatch || !r.bw.Append(h) {
+	if !r.bw.Append(h) {
 		c.flushRackLocked(rk)
 		r.bw.Append(h)
 	}
@@ -606,7 +583,7 @@ func (c *Client) maybeFlushLocked() {
 		return
 	}
 	for i := range c.racks {
-		if c.racks[i].bw.Count() >= c.maxBatch {
+		if c.racks[i].bw.Count() >= wire.MaxBatchOps {
 			c.flushRackLocked(i)
 		}
 	}
@@ -890,26 +867,20 @@ func (c *Client) readLoop() {
 			if sm.DecodeFromBytes(data) == nil {
 				c.adoptMap(&sm)
 			}
-		} else if wire.IsBatch(data) {
-			if br.Reset(data) == nil {
-				ops := 0
-				for {
-					ok, err2 := br.Next(&h)
-					if err2 != nil || !ok {
-						break
-					}
-					ops++
-					doneAcq, doneRel = c.handleOp(&h, rk, doneAcq, doneRel)
+		} else if wire.IsBatch(data) && br.Reset(data) == nil {
+			ops := 0
+			for {
+				ok, err2 := br.Next(&h)
+				if err2 != nil || !ok {
+					break
 				}
-				if ops > 0 {
-					c.o.Inc(obs.CtrFramesIn)
-					c.o.Add(obs.CtrOpsIn, uint64(ops))
-				}
+				ops++
+				doneAcq, doneRel = c.handleOp(&h, rk, doneAcq, doneRel)
 			}
-		} else if h.DecodeFromBytes(data) == nil {
-			c.o.Inc(obs.CtrFramesIn)
-			c.o.Inc(obs.CtrOpsIn)
-			doneAcq, doneRel = c.handleOp(&h, rk, doneAcq, doneRel)
+			if ops > 0 {
+				c.o.Inc(obs.CtrFramesIn)
+				c.o.Add(obs.CtrOpsIn, uint64(ops))
+			}
 		}
 		// Completions may have drained the in-flight set down to the
 		// buffered ops; re-check the adaptive flush rule.

@@ -9,19 +9,14 @@ import (
 
 // egress accumulates outgoing ops into per-destination batch frames and
 // writes each frame with one conn write. Flush policy belongs to the
-// caller: the switch and server flush after every ingress datagram (plus an
-// optional timer), the client flushes adaptively (see client.go). egress is
+// caller: the switch and server flush after every ingress datagram and
+// control sweep, the client flushes adaptively (see client.go). egress is
 // not goroutine-safe; each node serializes it under its own mutex.
 type egress struct {
-	conn PacketConn
-	o    *obs.Stripe
-	// max is the op capacity per frame; 1 sends legacy bare-header
-	// datagrams (no batch preamble), which is the unbatched baseline the
-	// load generator compares against.
-	max     int
-	dests   map[netip.AddrPort]*destBatch
-	free    []*destBatch
-	scratch [wire.HeaderLen]byte
+	conn  PacketConn
+	o     *obs.Stripe
+	dests map[netip.AddrPort]*destBatch
+	free  []*destBatch
 }
 
 // destBatch is one destination's open frame. store keeps the frame's
@@ -32,28 +27,17 @@ type destBatch struct {
 	store []byte
 }
 
-func newEgress(conn PacketConn, o *obs.Stripe, max int) *egress {
-	if max <= 0 || max > wire.MaxBatchOps {
-		max = wire.MaxBatchOps
-	}
+func newEgress(conn PacketConn, o *obs.Stripe) *egress {
 	return &egress{
 		conn:  conn,
 		o:     o,
-		max:   max,
 		dests: make(map[netip.AddrPort]*destBatch),
 	}
 }
 
 // send queues h toward ap, flushing the destination's frame first if it is
-// full. The op is not on the wire until the next flush (unless max == 1).
+// full. The op is not on the wire until the next flush.
 func (e *egress) send(h *wire.Header, ap netip.AddrPort) {
-	if e.max == 1 {
-		buf := h.AppendTo(e.scratch[:0])
-		e.conn.WriteToUDPAddrPort(buf, ap)
-		e.o.Inc(obs.CtrFramesOut)
-		e.o.Observe(obs.StageEgressBatch, 1)
-		return
-	}
 	db := e.dests[ap]
 	if db == nil {
 		if n := len(e.free); n > 0 {
@@ -66,7 +50,7 @@ func (e *egress) send(h *wire.Header, ap netip.AddrPort) {
 		db.w.Reset(db.store)
 		e.dests[ap] = db
 	}
-	if db.w.Count() >= e.max || !db.w.Append(h) {
+	if !db.w.Append(h) {
 		e.flushDest(db)
 		db.w.Append(h)
 	}

@@ -11,10 +11,13 @@
 // lock is granted by someone else's release), the switch keeps a pending
 // table mapping (lock, transaction) to the requester's UDP address.
 //
-// Datagrams carry either one bare wire.Header or a wire batch frame
-// (wire.BatchWriter) holding up to wire.MaxBatchOps headers; the first byte
-// disambiguates. Every node decodes both; every node batches its egress
-// per destination and flushes at its own policy (see egress and Client).
+// Every node sends wire batch frames (wire.BatchWriter) holding up to
+// wire.MaxBatchOps headers, batching its egress per destination and
+// flushing at its own policy (see egress and Client). The switch also
+// accepts a datagram holding one bare wire.Header — the paper's
+// one-request-per-packet format (§4.2) — from external senders; the first
+// byte disambiguates. Clients and lock servers hear only from switches and
+// decode batch frames only.
 //
 // The client-facing edge is lossy and the protocol tolerates it end to
 // end: clients retransmit unanswered acquires and un-acked releases, and
@@ -118,8 +121,6 @@ type Switch struct {
 	smapFrame []byte
 	fenced    map[uint32]bool
 
-	flushEvery time.Duration
-
 	wg     sync.WaitGroup
 	closed chan struct{}
 }
@@ -171,11 +172,6 @@ type SwitchConfig struct {
 	// SweepInterval runs the control-plane sweep: expired-lease release
 	// injection and stranded-overflow re-notification. Default 10ms.
 	SweepInterval time.Duration
-	// EgressFlush, when nonzero, holds egress batches open across ingress
-	// datagrams and flushes them on this timer, trading latency for
-	// larger frames. Zero (the default) flushes after every ingress
-	// datagram and control sweep.
-	EgressFlush time.Duration
 	// Net is the socket factory; nil means real UDP.
 	Net Network
 }
@@ -204,10 +200,9 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		migStage:   make(map[uint32]*migStaging),
 		done:       make(map[pendKey]struct{}),
 		doneRing:   make([]pendKey, doneWindow),
-		flushEvery: cfg.EgressFlush,
 		closed:     make(chan struct{}),
 	}
-	s.eg = newEgress(conn, s.o, 0)
+	s.eg = newEgress(conn, s.o)
 	s.chain = chainState{head: true, tail: true}
 	if ua, ok := conn.LocalAddr().(*net.UDPAddr); ok {
 		s.selfAP = normAddrPort(ua.AddrPort())
@@ -232,10 +227,6 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 	go s.readLoop()
 	s.wg.Add(1)
 	go s.sweepLoop(cfg.SweepInterval)
-	if s.flushEvery > 0 {
-		s.wg.Add(1)
-		go s.flushLoop()
-	}
 	return s, nil
 }
 
@@ -286,24 +277,6 @@ func (s *Switch) sweepLoop(interval time.Duration) {
 				}
 			}
 			s.chainHeal()
-			s.eg.flushAll()
-			s.flushChain()
-			s.mu.Unlock()
-		}
-	}
-}
-
-// flushLoop drains held-open egress batches on the EgressFlush timer.
-func (s *Switch) flushLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.flushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			s.mu.Lock()
 			s.eg.flushAll()
 			s.flushChain()
 			s.mu.Unlock()
@@ -483,15 +456,13 @@ func (s *Switch) readLoop() {
 				}
 			}
 		} else if h.DecodeFromBytes(data) == nil {
+			// One bare header: the paper's one-request-per-packet
+			// format, accepted from external senders.
 			s.o.Inc(obs.CtrFramesIn)
 			s.o.Inc(obs.CtrOpsIn)
 			s.handleOp(&h, from)
 		}
-		if s.flushEvery == 0 {
-			s.eg.flushAll()
-		}
-		// Chain records never wait for the egress timer: replication
-		// latency gates every externally-visible grant.
+		s.eg.flushAll()
 		s.flushChain()
 		s.mu.Unlock()
 	}
@@ -899,7 +870,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ls:     lockserver.New(cfg.Config),
 		closed: make(chan struct{}),
 	}
-	srv.eg = newEgress(conn, cfg.Config.Obs, 0)
+	srv.eg = newEgress(conn, cfg.Config.Obs)
 	srv.wg.Add(1)
 	go srv.readLoop()
 	return srv, nil
@@ -963,18 +934,14 @@ func (s *Server) readLoop() {
 		}
 		data := buf[:n]
 		s.mu.Lock()
-		if wire.IsBatch(data) {
-			if br.Reset(data) == nil {
-				for {
-					ok, err := br.Next(&h)
-					if err != nil || !ok {
-						break
-					}
-					s.handleOp(&h)
+		if wire.IsBatch(data) && br.Reset(data) == nil {
+			for {
+				ok, err := br.Next(&h)
+				if err != nil || !ok {
+					break
 				}
+				s.handleOp(&h)
 			}
-		} else if h.DecodeFromBytes(data) == nil {
-			s.handleOp(&h)
 		}
 		s.eg.flushAll()
 		s.mu.Unlock()

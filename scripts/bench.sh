@@ -1,11 +1,9 @@
 #!/usr/bin/env sh
-# Regenerates the committed benchmark artifacts.
+# Regenerates the committed cmd/loadgen benchmark artifacts. The repo's
+# benchmark proper (end-to-end and per-layer metrics, including the embedded
+# hot path, observability overhead and transport batching) is bench/run.sh;
+# see bench/README.md.
 #
-#   scripts/bench.sh                     # embedded hot path -> BENCH_embedded.json
-#   scripts/bench.sh -out - | less       # same, print the JSON instead
-#   scripts/bench.sh transport           # batched vs unbatched UDP transport
-#                                        #   (cmd/loadgen -compare) -> BENCH_transport.json
-#   scripts/bench.sh transport -quick    # shorter transport comparison
 #   scripts/bench.sh scenarios           # adversarial scenario suite on both
 #                                        #   planes -> BENCH_scenarios.json
 #   scripts/bench.sh scenarios -workload zipf -plane embedded  # one scenario
@@ -19,13 +17,7 @@
 #                                        #   aggregate throughput -> BENCH_multirack.json
 #   scripts/bench.sh multirack -quick    # shorter fabric comparison
 #
-# The default mode runs the embedded hot-path benchmarks (serial, parallel
-# disjoint/contended, sharded vs single-mutex baseline) plus the simulated
-# Fig 8a / Fig 9 throughput numbers. The transport mode measures the same
-# closed-loop workload over real UDP sockets with client batching off
-# (MaxBatch 1) and on (full frames), on identical self-hosted racks.
-#
-# To compare the raw benchmarks between two commits, use benchstat:
+# To compare the raw embedded benchmarks between two commits, use benchstat:
 #
 #   go test -run '^$' -bench EmbeddedAcquireRelease -benchmem -count 10 . > /tmp/old.txt
 #   git checkout <new> && go test -run '^$' -bench EmbeddedAcquireRelease -benchmem -count 10 . > /tmp/new.txt
@@ -33,10 +25,6 @@
 set -eu
 cd "$(dirname "$0")/.."
 case "${1:-}" in
-transport)
-	shift
-	exec go run ./cmd/loadgen -compare "$@"
-	;;
 scenarios)
 	shift
 	exec go run ./cmd/loadgen -workload all "$@"
@@ -58,6 +46,7 @@ multirack)
 	exec go run ./cmd/loadgen -multirack-bench -racks 4 -workers 256 -locks 1024 "$@"
 	;;
 *)
-	exec go run ./cmd/benchrunner -embedded -quick "$@"
+	echo "usage: scripts/bench.sh scenarios|failover|rebalance|multirack [loadgen flags]" >&2
+	exit 2
 	;;
 esac
