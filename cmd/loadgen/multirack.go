@@ -161,18 +161,11 @@ func selfHostFabric(cfg loadConfig, racks, shards int) (*fabric.Fabric, int, err
 		return nil, 0, err
 	}
 	m := f.Controller().Map()
-	offs := make([]uint64, racks)
 	resident := 0
 	for id := uint32(1); id <= uint32(cfg.locks); id++ {
-		rk := m.RackOf(id)
-		if offs[rk]+cfg.slotsPerLock > switchSlotBudget {
-			continue // rack budget exhausted: stays server-resident
+		if err := f.Rack(m.RackOf(id)).Controller().InstallLock(id, cfg.slotsPerLock); err != nil {
+			continue // rack's slots or lock table exhausted: stays server-resident
 		}
-		regions := []switchdp.Region{{Left: offs[rk], Right: offs[rk] + cfg.slotsPerLock}}
-		if err := f.Rack(rk).Controller().InstallLock(id, regions); err != nil {
-			continue // lock-table entries exhausted: stays server-resident
-		}
-		offs[rk] += cfg.slotsPerLock
 		resident++
 	}
 	return f, resident, nil

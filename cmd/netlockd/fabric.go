@@ -66,15 +66,8 @@ func runFabric(cfg fabricConfig) {
 	// rack — installing elsewhere would leave them unreachable.
 	m := f.Controller().Map()
 	installed := 0
-	offs := make([]uint64, cfg.racks)
 	for id := uint32(1); id <= uint32(cfg.preinstall); id++ {
-		rk := m.RackOf(id)
-		regions := make([]switchdp.Region, cfg.priorities)
-		for b := range regions {
-			regions[b] = switchdp.Region{Left: offs[rk], Right: offs[rk] + cfg.slotsPerLock}
-			offs[rk] += cfg.slotsPerLock
-		}
-		if err := f.Rack(rk).Controller().InstallLock(id, regions); err != nil {
+		if err := f.Rack(m.RackOf(id)).Controller().InstallLock(id, cfg.slotsPerLock); err != nil {
 			log.Printf("preinstall stopped at lock %d: %v", id, err)
 			break
 		}

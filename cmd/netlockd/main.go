@@ -49,7 +49,7 @@ func main() {
 	maxLocks := flag.Int("max-locks", 8192, "switch lock-table capacity")
 	priorities := flag.Int("priorities", 1, "priority levels (1-8)")
 	preinstall := flag.Uint("preinstall", 0, "preinstall locks 1..N in the switch")
-	slotsPerLock := flag.Uint64("slots-per-lock", 16, "queue slots per preinstalled lock")
+	slotsPerLock := flag.Uint64("slots-per-lock", 16, "total queue slots per preinstalled lock, split across the priority banks")
 	lease := flag.Duration("lease", 500*time.Millisecond, "default lock lease (0 disables)")
 	metrics := flag.String("metrics", "127.0.0.1:0", "metrics/pprof HTTP listen address (empty disables)")
 	rebalanceEvery := flag.Duration("rebalance", 0, "online lock-placement rebalance interval (0 disables the loop)")
@@ -104,19 +104,13 @@ func main() {
 	}
 	defer tp.Close()
 
-	// Control-plane placement of the preinstalled locks: install chain-wide
-	// and release ownership at the partition servers, one contiguous slot
-	// region per priority bank.
+	// Control-plane placement of the preinstalled locks: the controller
+	// splits each lock's slots across the priority banks, installs it
+	// chain-wide and releases ownership at the partition server.
 	ctrl := tp.Controller()
 	installed := 0
-	off := uint64(0)
 	for id := uint32(1); id <= uint32(*preinstall); id++ {
-		regions := make([]switchdp.Region, *priorities)
-		for b := range regions {
-			regions[b] = switchdp.Region{Left: off, Right: off + *slotsPerLock}
-			off += *slotsPerLock
-		}
-		if err := ctrl.InstallLock(id, regions); err != nil {
+		if err := ctrl.InstallLock(id, *slotsPerLock); err != nil {
 			log.Printf("preinstall stopped at lock %d: %v", id, err)
 			break
 		}

@@ -33,11 +33,7 @@ func (m *Manager) MoveToServer(id uint32) (rebalance.Report, []lockserver.Emit, 
 	if err != nil {
 		return rep, nil, err
 	}
-	for b, iv := range m.regionsByLock[id] {
-		m.allocators[b].release(iv)
-	}
-	delete(m.regionsByLock, id)
-	delete(m.slotsByLock, id)
+	m.layout.Release(id)
 	banks := make([][]lockserver.ExportEntry, len(ex.Slots))
 	for b, slots := range ex.Slots {
 		for _, s := range slots {
@@ -83,34 +79,13 @@ func (m *Manager) MoveToSwitch(id uint32, slots uint64) (rebalance.Report, error
 			panic(fmt.Sprintf("core: live promote rollback of lock %d lost state: %v", id, rerr))
 		}
 	}
-	banks := len(m.allocators)
-	if slots < uint64(banks) {
-		slots = uint64(banks)
-	}
-	per := slots / uint64(banks)
-	extra := slots % uint64(banks)
-	sizes := make([]uint64, banks)
-	for b := range sizes {
-		sizes[b] = per
-		if uint64(b) < extra {
-			sizes[b]++
-		}
-		if b < len(ex.Banks) && uint64(len(ex.Banks[b])) > sizes[b] {
-			sizes[b] = uint64(len(ex.Banks[b]))
-		}
-	}
-	ivs, ok := m.reserve(sizes)
+	regions, ok := m.reserve(id, slots, ex.Banks)
 	if !ok {
-		m.Compact()
-		if ivs, ok = m.reserve(sizes); !ok {
-			rollback()
-			return rep, fmt.Errorf("core: %w: queue memory exhausted for lock %d", ErrNoCapacity, id)
-		}
+		rollback()
+		return rep, fmt.Errorf("core: %w: queue memory exhausted for lock %d", ErrNoCapacity, id)
 	}
-	regions := make([]switchdp.Region, banks)
-	slotBanks := make([][]sharedqueue.Slot, banks)
-	for b, iv := range ivs {
-		regions[b] = switchdp.Region{Left: iv.Left, Right: iv.Right}
+	slotBanks := make([][]sharedqueue.Slot, len(regions))
+	for b := range regions {
 		if b >= len(ex.Banks) {
 			continue
 		}
@@ -124,35 +99,19 @@ func (m *Manager) MoveToSwitch(id uint32, slots uint64) (rebalance.Report, error
 		}
 	}
 	if err := m.sw.CtrlImportLock(id, regions, slotBanks); err != nil {
-		for b, iv := range ivs {
-			m.allocators[b].release(iv)
-		}
+		m.layout.Release(id)
 		rollback()
 		return rep, err
 	}
-	total := uint64(0)
-	for _, sz := range sizes {
-		total += sz
-	}
-	m.regionsByLock[id] = ivs
-	m.slotsByLock[id] = total
 	return rep, nil
 }
 
 // Placement returns the resident locks and their allocated slot counts — the
 // "current" input to memalloc.Resolve.
-func (m *Manager) Placement() map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(m.slotsByLock))
-	for id, s := range m.slotsByLock {
-		out[id] = s
-	}
-	return out
-}
+func (m *Manager) Placement() map[uint32]uint64 { return m.layout.Placement() }
 
 // SwitchCapacity returns the total shared-queue slots across all banks.
-func (m *Manager) SwitchCapacity() uint64 {
-	return uint64(m.sw.BankSlots()) * uint64(len(m.allocators))
-}
+func (m *Manager) SwitchCapacity() uint64 { return m.layout.Capacity() }
 
 // AddServer grows the rack by one lock server and rebalances the static
 // partition: every lock whose RSSCore home changes under the new server
@@ -161,7 +120,7 @@ func (m *Manager) SwitchCapacity() uint64 {
 // to deliver.
 func (m *Manager) AddServer() (int, []lockserver.Emit) {
 	m.servers = append(m.servers, lockserver.New(m.cfg.ServerConfig))
-	idx := len(m.servers) - 1
+	idx := m.route.Grow()
 	var emits []lockserver.Emit
 	for i, src := range m.servers[:idx] {
 		for _, id := range src.CtrlOwnedLocks() {
@@ -194,13 +153,11 @@ func (m *Manager) AddServer() (int, []lockserver.Emit) {
 // request racing the drain either reaches the victim (served or redirected)
 // or the target (state already there).
 func (m *Manager) DrainServer(victim, target int) ([]lockserver.Emit, error) {
-	if victim == target {
-		return nil, fmt.Errorf("core: drain target must differ from victim")
+	to, err := m.route.Check(victim, target)
+	if err != nil {
+		return nil, fmt.Errorf("core: drain server: %w", err)
 	}
-	if m.ServerForIndex(target) == victim {
-		return nil, fmt.Errorf("core: drain target resolves back to the victim")
-	}
-	src, dst := m.servers[victim], m.servers[target]
+	src, dst := m.servers[victim], m.servers[to]
 	src.CtrlSetDraining(true)
 	var emits []lockserver.Emit
 	for _, id := range src.CtrlOwnedLocks() {
@@ -217,10 +174,7 @@ func (m *Manager) DrainServer(victim, target int) ([]lockserver.Emit, error) {
 	for _, id := range src.CtrlOverflowLocks() {
 		dst.CtrlImportOverflow(id, src.CtrlExportOverflow(id))
 	}
-	if m.serverRedirect == nil {
-		m.serverRedirect = make(map[int]int)
-	}
-	m.serverRedirect[victim] = target
+	_, _ = m.route.Redirect(victim, to) // cannot fail: Check passed above
 	m.noteFailover(obs.FailoverServer)
 	return emits, nil
 }

@@ -69,25 +69,22 @@ type Manager struct {
 	cfg     Config
 	sw      *switchdp.Switch
 	servers []*lockserver.Server
+	// route is the lock→server directory clients resolve (§4.1), failover
+	// and drain redirects included (§4.5).
+	route lockserver.Routing
+	// layout records the shared-queue regions each resident lock occupies,
+	// one per priority bank.
+	layout *Layout
 
-	// regionsByLock records the shared-queue regions each resident lock
-	// occupies, one per priority bank.
-	regionsByLock map[uint32][]interval
 	// pendingMoves tracks locks whose move to the switch is draining at
 	// their server (paused, §4.3); every Reallocate round either completes
 	// or aborts them, so buffered requesters can never be stranded.
 	pendingMoves   map[uint32]uint64
 	movesStarted   int
 	moveAbortEmits []lockserver.Emit
-	// serverRedirect reroutes a failed server's partition to its
-	// replacement — the directory-service update clients observe (§4.5).
-	serverRedirect map[int]int
 	// deferStreak counts consecutive rounds an install was deferred
 	// because the lock never drained; only stubborn locks get paused.
 	deferStreak map[uint32]int
-	// slotsByLock records the planned slot count for resize detection.
-	slotsByLock map[uint32]uint64
-	allocators  []*regionAllocator
 
 	swFailed bool
 }
@@ -114,27 +111,17 @@ func New(cfg Config) *Manager {
 	}
 	sw := switchdp.New(cfg.Switch)
 	m := &Manager{
-		cfg:           cfg,
-		sw:            sw,
-		regionsByLock: make(map[uint32][]interval),
-		slotsByLock:   make(map[uint32]uint64),
-		pendingMoves:  make(map[uint32]uint64),
-		deferStreak:   make(map[uint32]int),
+		cfg:          cfg,
+		sw:           sw,
+		route:        lockserver.NewRouting(cfg.Servers),
+		layout:       NewLayout(sw.Banks(), uint64(sw.BankSlots())),
+		pendingMoves: make(map[uint32]uint64),
+		deferStreak:  make(map[uint32]int),
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		m.servers = append(m.servers, lockserver.New(cfg.ServerConfig))
 	}
-	for b := 0; b < max(cfg.Switch.Priorities, 1); b++ {
-		m.allocators = append(m.allocators, newRegionAllocator(uint64(sw.BankSlots())))
-	}
 	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Switch returns the switch data plane.
@@ -149,16 +136,7 @@ func (m *Manager) NumServers() int { return len(m.servers) }
 // ServerFor returns the lock server index responsible for a lock: the
 // partitioning clients resolve through the directory service (§4.1),
 // including any failover redirects (§4.5).
-func (m *Manager) ServerFor(lockID uint32) int {
-	s := lockserver.RSSCore(lockID, len(m.servers))
-	for {
-		next, ok := m.serverRedirect[s]
-		if !ok {
-			return s
-		}
-		s = next
-	}
-}
+func (m *Manager) ServerFor(lockID uint32) int { return m.route.Home(lockID) }
 
 // SwitchFailed reports whether the switch is currently failed.
 func (m *Manager) SwitchFailed() bool { return m.swFailed }
@@ -170,41 +148,11 @@ func (m *Manager) SwitchFailed() bool { return m.swFailed }
 // counters cover resident locks (with server-buffered overflow depth folded
 // into contention); server counters cover server-owned locks.
 func (m *Manager) MeasureDemands(windowSec float64) []memalloc.Demand {
-	if windowSec <= 0 {
-		panic("core: non-positive measurement window")
+	var srv []lockserver.LockLoad
+	for _, ls := range m.servers {
+		srv = append(srv, ls.CtrlMeasure()...)
 	}
-	byID := make(map[uint32]*memalloc.Demand)
-	for _, l := range m.sw.CtrlMeasure() {
-		byID[l.LockID] = &memalloc.Demand{
-			LockID:     l.LockID,
-			Rate:       float64(l.Requests) / windowSec,
-			Contention: l.MaxQueue,
-		}
-	}
-	for _, srv := range m.servers {
-		for _, l := range srv.CtrlMeasure() {
-			if d, ok := byID[l.LockID]; ok {
-				// Resident lock: the server saw overflow traffic the
-				// switch gauge could not count.
-				d.Contention += l.BufferedPeak
-				continue
-			}
-			if !l.Owned {
-				continue
-			}
-			byID[l.LockID] = &memalloc.Demand{
-				LockID:     l.LockID,
-				Rate:       float64(l.Requests) / windowSec,
-				Contention: l.MaxConcurrent,
-			}
-		}
-	}
-	out := make([]memalloc.Demand, 0, len(byID))
-	for _, d := range byID {
-		out = append(out, *d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LockID < out[j].LockID })
-	return out
+	return MergeDemands(windowSec, m.sw.CtrlMeasure(), srv)
 }
 
 // Report summarizes one reallocation round.
@@ -248,19 +196,13 @@ func (m *Manager) Reallocate(demands []memalloc.Demand, alloc Allocator) Report 
 	}
 	m.movesStarted = 0
 	m.moveAbortEmits = nil
-	banks := len(m.allocators)
-	capacity := uint64(m.sw.BankSlots()) * uint64(banks)
-	plan := alloc(demands, capacity)
+	plan := alloc(demands, m.layout.Capacity())
 	report := Report{Plan: plan}
 
-	// Target slot counts, rounded up to at least one slot per bank.
+	// Target slot counts, as the bank split rounds them.
 	target := make(map[uint32]uint64, len(plan.Switch))
 	for _, a := range plan.Switch {
-		s := a.Slots
-		if s < uint64(banks) {
-			s = uint64(banks)
-		}
-		target[a.LockID] = s
+		_, target[a.LockID] = m.layout.Split(a.Slots, nil)
 	}
 
 	// Phase 0: resolve moves left draining by earlier rounds. A paused
@@ -295,7 +237,7 @@ func (m *Manager) Reallocate(demands []memalloc.Demand, alloc Allocator) Report 
 	for _, id := range m.sw.CtrlResidentLocks() {
 		want, keep := target[id]
 		if keep {
-			cur := m.slotsByLock[id]
+			cur := m.layout.Slots(id)
 			if want == cur || (want > cur/2 && want < cur*2) {
 				continue
 			}
@@ -350,10 +292,7 @@ func (m *Manager) PreinstallLock(id uint32, slots uint64) (Report, error) {
 	if m.sw.CtrlHasLock(id) {
 		return report, nil
 	}
-	banks := uint64(len(m.allocators))
-	if slots < banks {
-		slots = banks
-	}
+	_, slots = m.layout.Split(slots, nil)
 	if m.sw.CtrlFreeEntries() == 0 {
 		return report, fmt.Errorf("core: %w: lock table full (%d locks)",
 			ErrNoCapacity, m.cfg.Switch.MaxLocks)
@@ -380,11 +319,7 @@ func (m *Manager) removeResident(id uint32, report *Report) bool {
 	if err := m.sw.CtrlRemoveLock(id); err != nil {
 		return false
 	}
-	for b, iv := range m.regionsByLock[id] {
-		m.allocators[b].release(iv)
-	}
-	delete(m.regionsByLock, id)
-	delete(m.slotsByLock, id)
+	m.layout.Release(id)
 	emits := m.servers[m.ServerFor(id)].CtrlAdoptLock(id)
 	report.Emits = append(report.Emits, emits...)
 	return true
@@ -400,23 +335,9 @@ func (m *Manager) installLock(id uint32, slots uint64, report *Report) bool {
 		return false
 	}
 	srv := m.servers[m.ServerFor(id)]
-	banks := len(m.allocators)
-	per := slots / uint64(banks)
-	extra := slots % uint64(banks)
-	sizes := make([]uint64, banks)
-	for b := range sizes {
-		sizes[b] = per
-		if uint64(b) < extra {
-			sizes[b]++
-		}
-	}
-	// Reserve regions first; compact and retry on fragmentation.
-	ivs, ok := m.reserve(sizes)
+	regions, ok := m.reserve(id, slots, nil)
 	if !ok {
-		m.Compact()
-		if ivs, ok = m.reserve(sizes); !ok {
-			return false
-		}
+		return false
 	}
 	pushes, err := srv.CtrlTakeForSwitch(id)
 	if err != nil {
@@ -447,46 +368,33 @@ func (m *Manager) installLock(id uint32, slots uint64, report *Report) bool {
 				}
 			}
 		}
-		for b, iv := range ivs {
-			m.allocators[b].release(iv)
-		}
+		m.layout.Release(id)
 		return false
 	}
 	delete(m.pendingMoves, id)
 	delete(m.deferStreak, id)
-	regions := make([]switchdp.Region, banks)
-	for b, iv := range ivs {
-		regions[b] = switchdp.Region{Left: iv.Left, Right: iv.Right}
-	}
 	if err := m.sw.CtrlInstallLock(id, regions); err != nil {
 		// Roll back: the server owns the lock again; requests buffered
 		// during the drain are re-processed there.
 		report.Emits = append(report.Emits, srv.CtrlAdoptLock(id)...)
-		for b, iv := range ivs {
-			m.allocators[b].release(iv)
-		}
+		m.layout.Release(id)
 		return false
 	}
-	m.regionsByLock[id] = ivs
-	m.slotsByLock[id] = slots
 	report.SwitchPushes = append(report.SwitchPushes, pushes...)
 	return true
 }
 
-// reserve claims one region per bank, releasing everything on failure.
-func (m *Manager) reserve(sizes []uint64) ([]interval, bool) {
-	ivs := make([]interval, len(sizes))
-	for b, sz := range sizes {
-		iv, ok := m.allocators[b].alloc(sz)
-		if !ok {
-			for j := 0; j < b; j++ {
-				m.allocators[j].release(ivs[j])
-			}
-			return nil, false
-		}
-		ivs[b] = iv
+// reserve places lock id in the layout with the bank split of slots
+// (widened to the live queues in live), compacting once and retrying when
+// free space is fragmented.
+func (m *Manager) reserve(id uint32, slots uint64, live [][]lockserver.ExportEntry) ([]switchdp.Region, bool) {
+	sizes, _ := m.layout.Split(slots, live)
+	regions, err := m.layout.Reserve(id, sizes)
+	if err != nil {
+		m.Compact()
+		regions, err = m.layout.Reserve(id, sizes)
 	}
-	return ivs, true
+	return regions, err == nil
 }
 
 // Compact reorganizes the switch memory layout to merge free space (§4.3).
@@ -494,8 +402,8 @@ func (m *Manager) reserve(sizes []uint64) ([]interval, bool) {
 // regions, bounding how much a single compaction can recover.
 func (m *Manager) Compact() {
 	type resident struct {
-		id  uint32
-		ivs []interval
+		id      uint32
+		regions []switchdp.Region
 	}
 	var movable []resident
 	for _, id := range m.sw.CtrlResidentLocks() {
@@ -511,67 +419,41 @@ func (m *Manager) Compact() {
 			}
 		}
 		if drained {
-			movable = append(movable, resident{id: id, ivs: m.regionsByLock[id]})
+			movable = append(movable, resident{id: id, regions: m.layout.Regions(id)})
 		}
 	}
-	sort.Slice(movable, func(i, j int) bool { return movable[i].ivs[0].Left < movable[j].ivs[0].Left })
+	sort.Slice(movable, func(i, j int) bool { return movable[i].regions[0].Left < movable[j].regions[0].Left })
 	// Remove all movable locks, then reinstall tightly in address order.
+	removed := movable[:0]
 	for _, r := range movable {
-		if err := m.sw.CtrlRemoveLock(r.id); err != nil {
-			continue
+		if m.sw.CtrlRemoveLock(r.id) == nil {
+			m.layout.Release(r.id)
+			removed = append(removed, r)
 		}
-		for b, iv := range r.ivs {
-			m.allocators[b].release(iv)
-		}
-		delete(m.regionsByLock, r.id)
 	}
-	for _, r := range movable {
-		sizes := make([]uint64, len(r.ivs))
-		for b, iv := range r.ivs {
-			sizes[b] = iv.Right - iv.Left
+	for _, r := range removed {
+		sizes := make([]uint64, len(r.regions))
+		for b, reg := range r.regions {
+			sizes[b] = reg.Size()
 		}
-		ivs, ok := m.reserve(sizes)
-		if !ok {
+		regions, err := m.layout.Reserve(r.id, sizes)
+		if err != nil {
 			// Should not happen (same total space); fall back to server.
 			m.servers[m.ServerFor(r.id)].CtrlAdoptLock(r.id)
-			delete(m.slotsByLock, r.id)
 			continue
-		}
-		regions := make([]switchdp.Region, len(ivs))
-		for b, iv := range ivs {
-			regions[b] = switchdp.Region{Left: iv.Left, Right: iv.Right}
 		}
 		if err := m.sw.CtrlInstallLock(r.id, regions); err != nil {
 			m.servers[m.ServerFor(r.id)].CtrlAdoptLock(r.id)
-			for b, iv := range ivs {
-				m.allocators[b].release(iv)
-			}
-			delete(m.slotsByLock, r.id)
-			continue
+			m.layout.Release(r.id)
 		}
-		m.regionsByLock[r.id] = ivs
 	}
 }
 
 // Fragmentation returns the worst per-bank fragmentation metric in [0,1].
-func (m *Manager) Fragmentation() float64 {
-	var worst float64
-	for _, a := range m.allocators {
-		if f := a.fragmentation(); f > worst {
-			worst = f
-		}
-	}
-	return worst
-}
+func (m *Manager) Fragmentation() float64 { return m.layout.Fragmentation() }
 
 // FreeSlots returns the total unallocated shared-queue slots.
-func (m *Manager) FreeSlots() uint64 {
-	var sum uint64
-	for _, a := range m.allocators {
-		sum += a.freeSlots()
-	}
-	return sum
-}
+func (m *Manager) FreeSlots() uint64 { return m.layout.FreeSlots() }
 
 // --- Failure handling (§4.5, §6.5) ---
 
@@ -603,18 +485,8 @@ func (m *Manager) RestartSwitch() {
 	}
 	// Recover placement: reinstall every previously resident lock at its
 	// recorded regions; the servers keep owning their locks.
-	ids := make([]uint32, 0, len(m.regionsByLock))
-	for id := range m.regionsByLock {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ivs := m.regionsByLock[id]
-		regions := make([]switchdp.Region, len(ivs))
-		for b, iv := range ivs {
-			regions[b] = switchdp.Region{Left: iv.Left, Right: iv.Right}
-		}
-		if err := m.sw.CtrlInstallLock(id, regions); err != nil {
+	for _, id := range m.layout.Locks() {
+		if err := m.sw.CtrlInstallLock(id, m.layout.Regions(id)); err != nil {
 			panic(fmt.Sprintf("core: reinstall after restart failed: %v", err))
 		}
 	}
@@ -624,36 +496,20 @@ func (m *Manager) RestartSwitch() {
 
 // FailServer reassigns all locks owned by a failed server to another server
 // (§4.5): the replacement adopts them with empty queues; clients resubmit
-// and leases expire any stale grants.
-func (m *Manager) FailServer(failed, replacement int) {
-	if failed == replacement {
-		panic("core: replacement must differ from failed server")
+// and leases expire any stale grants. An out-of-range index, a
+// self-replacement or a redirect cycle is refused before anything changes.
+func (m *Manager) FailServer(failed, replacement int) error {
+	to, err := m.route.Redirect(failed, replacement)
+	if err != nil {
+		return fmt.Errorf("core: fail server: %w", err)
 	}
-	if m.serverRedirect == nil {
-		m.serverRedirect = make(map[int]int)
-	}
-	// Guard against redirect cycles (replacement itself redirected back).
-	if m.ServerForIndex(replacement) == failed {
-		panic("core: replacement resolves back to the failed server")
-	}
-	src, dst := m.servers[failed], m.servers[replacement]
+	src, dst := m.servers[failed], m.servers[to]
 	for _, id := range src.CtrlOwnedLocks() {
 		src.CtrlForget(id)
 		dst.CtrlAdoptLock(id)
 	}
-	m.serverRedirect[failed] = replacement
 	m.noteFailover(obs.FailoverServer)
-}
-
-// ServerForIndex resolves redirects starting from a raw partition index.
-func (m *Manager) ServerForIndex(s int) int {
-	for {
-		next, ok := m.serverRedirect[s]
-		if !ok {
-			return s
-		}
-		s = next
-	}
+	return nil
 }
 
 // --- Lease sweep (§4.5) ---

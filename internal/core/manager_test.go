@@ -2,8 +2,10 @@ package core
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
+	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
@@ -219,29 +221,24 @@ func TestCompactMergesFreeSpace(t *testing.T) {
 	}
 }
 
+// TestMeasureDemandsCombinesSwitchAndServers pins the demand merge both
+// planes' MeasureDemands call: a resident lock's switch gauge gains the
+// overflow its server buffered, an owned server lock contributes its own
+// gauge, a lock a server merely saw is dropped, and the result is sorted.
 func TestMeasureDemandsCombinesSwitchAndServers(t *testing.T) {
-	m := newManager(2)
-	m.Reallocate([]memalloc.Demand{demand(1, 1000, 4)}, nil)
-	// Traffic: resident lock 1 via switch, lock 9 at its server.
-	sw := m.Switch()
-	for txn := uint64(1); txn <= 10; txn++ {
-		sw.ProcessPacket(acq(1, txn))
+	sw := []switchdp.LockLoad{{LockID: 1, Requests: 10, MaxQueue: 4}}
+	servers := []lockserver.LockLoad{
+		{LockID: 9, Owned: true, Requests: 1, MaxConcurrent: 1},
+		{LockID: 1, Requests: 0, BufferedPeak: 3},
+		{LockID: 5, Requests: 7, MaxConcurrent: 2},
 	}
-	srv := m.Server(m.ServerFor(9))
-	srv.ProcessPacket(acq(9, 1))
-	demands := m.MeasureDemands(2.0)
-	byID := map[uint32]memalloc.Demand{}
-	for _, d := range demands {
-		byID[d.LockID] = d
+	got := MergeDemands(2.0, sw, servers)
+	want := []memalloc.Demand{
+		{LockID: 1, Rate: 5.0, Contention: 7},
+		{LockID: 9, Rate: 0.5, Contention: 1},
 	}
-	if byID[1].Rate != 5.0 {
-		t.Fatalf("lock 1 rate = %f, want 10/2s", byID[1].Rate)
-	}
-	if byID[1].Contention != 4 {
-		t.Fatalf("lock 1 contention = %d (region cap)", byID[1].Contention)
-	}
-	if byID[9].Rate != 0.5 || byID[9].Contention != 1 {
-		t.Fatalf("lock 9 demand = %+v", byID[9])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged demands = %+v, want %+v", got, want)
 	}
 }
 
@@ -297,7 +294,9 @@ func TestFailServerReassignsLocks(t *testing.T) {
 		}
 	}
 	m.Server(0).ProcessPacket(acq(lockID, 1))
-	m.FailServer(0, 1)
+	if err := m.FailServer(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	// The replacement owns the lock with empty queues; a resubmitted
 	// request is granted there.
 	emits := m.Server(1).ProcessPacket(acq(lockID, 1))
@@ -306,14 +305,14 @@ func TestFailServerReassignsLocks(t *testing.T) {
 	}
 }
 
-func TestFailServerPanicsOnSelf(t *testing.T) {
+func TestFailServerRejectsSelf(t *testing.T) {
 	m := newManager(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	m.FailServer(1, 1)
+	if err := m.FailServer(1, 1); err == nil {
+		t.Fatalf("self-replacement accepted")
+	}
+	if got := m.ServerFor(1); got != lockserver.RSSCore(1, 2) {
+		t.Fatalf("refused failover rerouted lock 1 to server %d", got)
+	}
 }
 
 func TestSweepLeases(t *testing.T) {

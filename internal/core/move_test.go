@@ -117,7 +117,7 @@ func TestReallocatePendingMovesDeterministic(t *testing.T) {
 		Installed, Deferred []uint32
 		Emits               []lockserver.Emit
 		Pushes              []wire.Header
-		Regions             map[uint32][]interval
+		Regions             map[uint32][]switchdp.Region
 	}
 	run := func() outcome {
 		m := newPausingManager()
@@ -145,7 +145,7 @@ func TestReallocatePendingMovesDeterministic(t *testing.T) {
 			}
 		}
 		rep := m.Reallocate(kept, nil)
-		return outcome{rep.Installed, rep.Deferred, rep.Emits, rep.SwitchPushes, m.regionsByLock}
+		return outcome{rep.Installed, rep.Deferred, rep.Emits, rep.SwitchPushes, m.layout.regions}
 	}
 	want := run()
 	if len(want.Installed) != 3 || len(want.Deferred) < 3 || len(want.Emits) == 0 {

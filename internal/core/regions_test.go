@@ -1,21 +1,25 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"netlock/internal/check"
+	"netlock/internal/lockserver"
+	"netlock/internal/switchdp"
 )
 
 func TestRegionAllocFirstFit(t *testing.T) {
 	a := newRegionAllocator(100)
 	iv1, ok := a.alloc(30)
-	if !ok || iv1 != (interval{0, 30}) {
+	if !ok || iv1 != (switchdp.Region{Left: 0, Right: 30}) {
 		t.Fatalf("alloc = %v %v", iv1, ok)
 	}
 	iv2, ok := a.alloc(70)
-	if !ok || iv2 != (interval{30, 100}) {
+	if !ok || iv2 != (switchdp.Region{Left: 30, Right: 100}) {
 		t.Fatalf("alloc = %v %v", iv2, ok)
 	}
 	if _, ok := a.alloc(1); ok {
@@ -61,7 +65,7 @@ func TestRegionInvalidFreePanics(t *testing.T) {
 			t.Fatalf("invalid free should panic")
 		}
 	}()
-	a.release(interval{50, 200})
+	a.release(switchdp.Region{Left: 50, Right: 200})
 }
 
 func TestRegionFragmentationMetric(t *testing.T) {
@@ -70,7 +74,7 @@ func TestRegionFragmentationMetric(t *testing.T) {
 		t.Fatalf("fresh allocator fragmentation = %f", a.fragmentation())
 	}
 	// Create a checkerboard: alloc 10x10, free every other one.
-	var ivs []interval
+	var ivs []switchdp.Region
 	for i := 0; i < 10; i++ {
 		iv, _ := a.alloc(10)
 		ivs = append(ivs, iv)
@@ -82,9 +86,11 @@ func TestRegionFragmentationMetric(t *testing.T) {
 	if f <= 0.7 {
 		t.Fatalf("checkerboard fragmentation = %f, want > 0.7", f)
 	}
-	a.reset()
+	for i := 1; i < 10; i += 2 {
+		a.release(ivs[i])
+	}
 	if a.fragmentation() != 0 || a.freeSlots() != 100 {
-		t.Fatalf("reset failed: frag=%f free=%d", a.fragmentation(), a.freeSlots())
+		t.Fatalf("full release left frag=%f free=%d", a.fragmentation(), a.freeSlots())
 	}
 }
 
@@ -114,7 +120,7 @@ func TestRegionAllocatorInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := newRegionAllocator(256)
-		var live []interval
+		var live []switchdp.Region
 		allocated := uint64(0)
 		for _, op := range ops {
 			if op%2 == 0 || len(live) == 0 {
@@ -147,5 +153,61 @@ func TestRegionAllocatorInvariantProperty(t *testing.T) {
 		if err := quick.Check(f, cfg); err != nil {
 			t.Fatalf("%v\nreproduce with: go test -run %s %s", err, t.Name(), check.ReplayArgs(seed))
 		}
+	}
+}
+
+// TestLayoutSplit pins the bank split both planes use: round up to one slot
+// per bank, remainder to the low banks, each bank widened to its live queue.
+func TestLayoutSplit(t *testing.T) {
+	l := NewLayout(3, 64)
+	live := [][]lockserver.ExportEntry{nil, make([]lockserver.ExportEntry, 9)}
+	for _, c := range []struct {
+		slots uint64
+		live  [][]lockserver.ExportEntry
+		sizes []uint64
+		total uint64
+	}{
+		{0, nil, []uint64{1, 1, 1}, 3},
+		{2, nil, []uint64{1, 1, 1}, 3},
+		{8, nil, []uint64{3, 3, 2}, 8},
+		{8, live, []uint64{3, 9, 2}, 14},
+	} {
+		sizes, total := l.Split(c.slots, c.live)
+		if !reflect.DeepEqual(sizes, c.sizes) || total != c.total {
+			t.Errorf("Split(%d) = %v/%d, want %v/%d", c.slots, sizes, total, c.sizes, c.total)
+		}
+	}
+}
+
+// TestLayoutReserveAllOrNothing: a lock is placed in every bank or in none,
+// and releasing it returns exactly its regions.
+func TestLayoutReserveAllOrNothing(t *testing.T) {
+	l := NewLayout(2, 16)
+	if _, err := l.Reserve(1, []uint64{8, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Reserve(1, []uint64{1, 1}); err == nil {
+		t.Fatal("lock 1 placed twice")
+	}
+	if _, err := l.Reserve(2, []uint64{4, 12}); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("overfull bank 1: err = %v, want ErrNoCapacity", err)
+	}
+	if l.FreeSlots() != 16 || l.Regions(2) != nil {
+		t.Fatalf("failed reserve leaked: free=%d regions=%v", l.FreeSlots(), l.Regions(2))
+	}
+	got, err := l.Reserve(3, []uint64{8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []switchdp.Region{{Left: 8, Right: 16}, {Left: 8, Right: 16}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lock 3 regions = %v, want %v", got, want)
+	}
+	if p := l.Placement(); !reflect.DeepEqual(p, map[uint32]uint64{1: 16, 3: 16}) {
+		t.Fatalf("placement = %v", p)
+	}
+	l.Release(1)
+	if l.FreeSlots() != 16 || !reflect.DeepEqual(l.Locks(), []uint32{3}) {
+		t.Fatalf("after release: free=%d locks=%v", l.FreeSlots(), l.Locks())
 	}
 }

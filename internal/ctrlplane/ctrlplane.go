@@ -10,12 +10,20 @@
 // the daemons — builds through Topology, so chain wiring decisions
 // (replica roles, meter placement, reliable in-rack links, epoch numbers)
 // live here exactly once.
+//
+// The Controller is also the rack's placement authority, and it places
+// through the same pieces the embedded core.Manager does: a core.Layout
+// carves each lock's per-bank queue regions from a slot count (a
+// SwitchLock's Slots is the lock's total, split across the priority
+// banks), a lockserver.Routing resolves each lock's home server, and
+// core.MergeDemands turns the rack's gauges into allocator demands.
 package ctrlplane
 
 import (
 	"fmt"
 	"sync"
 
+	"netlock/internal/core"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
@@ -31,16 +39,15 @@ type Controller struct {
 	epoch       uint64
 	meterAtHead bool
 
-	// regions tracks every switch-resident lock's queue regions (one per
+	// layout records every switch-resident lock's queue regions (one per
 	// bank). The controller is the only region allocator on a live rack —
 	// InstallLock and the live-move entry points (migrate.go) keep it
-	// current — so free-space scans for promotions read it instead of the
-	// data planes.
-	regions map[uint32][]switchdp.Region
-	// redirect maps a drained server's index to the server that absorbed
-	// its locks; ServerIndexFor follows the chain. Mirrors the send-side
-	// redirect installed on every chain member.
-	redirect map[int]int
+	// current — and it lays regions out exactly as the embedded Manager
+	// does.
+	layout *core.Layout
+	// route is the lock→server directory, drain redirects included. It
+	// mirrors the send-side copy every chain member holds.
+	route lockserver.Routing
 }
 
 // NewController wires members (head first) into a chain at epoch 1 and
@@ -55,9 +62,11 @@ func NewController(members []*transport.Switch, servers []*transport.Server, met
 		servers:     append([]*transport.Server(nil), servers...),
 		epoch:       1,
 		meterAtHead: meterAtHead && len(members) > 1,
-		regions:     make(map[uint32][]switchdp.Region),
-		redirect:    make(map[int]int),
+		route:       lockserver.NewRouting(len(servers)),
 	}
+	members[0].WithDataPlane(func(dp *switchdp.Switch) {
+		c.layout = core.NewLayout(dp.Banks(), uint64(dp.BankSlots()))
+	})
 	if c.meterAtHead {
 		// Quota decisions consult the wall clock, so replicas metering
 		// independently would diverge: bypass the in-pipeline meter on
@@ -180,14 +189,19 @@ func (c *Controller) reconfigure() error {
 	return nil
 }
 
-// InstallLock makes lockID switch-resident chain-wide: the regions are
-// installed in every member's data plane (each replica must be able to
-// apply the same op stream) and the owning lock server releases
-// ownership.
-func (c *Controller) InstallLock(lockID uint32, regions []switchdp.Region) error {
+// InstallLock makes lockID switch-resident chain-wide with slots total
+// queue slots: the controller's layout splits them across the priority
+// banks and places the regions, which are installed in every member's
+// data plane (each replica must be able to apply the same op stream), and
+// the owning lock server releases ownership.
+func (c *Controller) InstallLock(lockID uint32, slots uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
+	sizes, _ := c.layout.Split(slots, nil)
+	regions, err := c.layout.Reserve(lockID, sizes)
+	if err != nil {
+		return err
+	}
 	for _, m := range c.members {
 		m.WithDataPlane(func(dp *switchdp.Switch) {
 			if e := dp.CtrlInstallLock(lockID, regions); e != nil && err == nil {
@@ -196,11 +210,11 @@ func (c *Controller) InstallLock(lockID uint32, regions []switchdp.Region) error
 		})
 	}
 	if err != nil {
+		c.layout.Release(lockID)
 		return err
 	}
-	c.regions[lockID] = append([]switchdp.Region(nil), regions...)
 	if len(c.servers) > 0 {
-		srv := c.servers[c.serverIndexForLocked(lockID)]
+		srv := c.servers[c.route.Home(lockID)]
 		srv.WithLockServer(func(ls *lockserver.Server) {
 			err = ls.CtrlReleaseOwnership(lockID)
 		})

@@ -3,11 +3,13 @@ package ctrlplane
 import (
 	"context"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"netlock"
+	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
 	"netlock/internal/wire"
@@ -50,6 +52,29 @@ func acquire(t *testing.T, c *transport.Client, lockID uint32) *transport.Grant 
 		t.Fatalf("acquire %d: %v", lockID, err)
 	}
 	return g
+}
+
+// TestTwoBankPreinstallUsesWholeBanks: SwitchLock.Slots is a lock's total
+// slots, split across the priority banks, so two 16-slot locks on a 2-bank
+// 64-slot switch take 8 slots of each 32-slot bank and leave half of every
+// bank free — the same geometry the embedded Manager's Preinstall leaves.
+func TestTwoBankPreinstallUsesWholeBanks(t *testing.T) {
+	tp := topo(t, Config{
+		DataPlane:   switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2},
+		Server:      lockserver.Config{Priorities: 2},
+		SwitchLocks: []SwitchLock{{ID: 1, Slots: 16}, {ID: 2, Slots: 16}},
+	})
+	ctrl := tp.Controller()
+	if got, want := ctrl.Placement(), map[uint32]uint64{1: 16, 2: 16}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("placement %v, want %v", got, want)
+	}
+	if err := ctrl.InstallLock(3, 32); err != nil {
+		t.Fatalf("the free half of both banks is unusable: %v", err)
+	}
+	if err := ctrl.InstallLock(4, 2); err == nil {
+		t.Fatal("install into full banks accepted")
+	}
+	acquire(t, fastClient(t, tp), 3).Release()
 }
 
 // TestTopologySingleSwitch: the degenerate chain behaves like the old

@@ -121,7 +121,7 @@ func (c *Controller) ImportShard(states []ShardLockState) error {
 		if len(c.servers) == 0 {
 			return fmt.Errorf("ctrlplane: no lock server to import lock %d", st.LockID)
 		}
-		srv := c.servers[c.serverIndexForLocked(st.LockID)]
+		srv := c.servers[c.route.Home(st.LockID)]
 		srv.PrepareImport(st.LockID)
 		nowNs := srv.NowNs()
 		banks := make([][]lockserver.ExportEntry, len(st.Banks))

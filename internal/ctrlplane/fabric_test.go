@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
@@ -116,12 +117,16 @@ func TestShardExportImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The head records the waiter before forwarding it, so wait for the
+	// home server's queue too: exporting earlier would miss the waiter.
+	home := src.Servers()[src.Controller().ServerIndexFor(lock)]
 	deadline := time.Now().Add(timeout)
-	for src.Head().Snapshot().PendingAcquires == 0 {
+	for depth := 0; src.Head().Snapshot().PendingAcquires == 0 || depth < 2; {
 		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued at the source head")
+			t.Fatal("waiter never queued at the source head and server")
 		}
 		time.Sleep(time.Millisecond)
+		home.WithLockServer(func(ls *lockserver.Server) { depth, _ = ls.CtrlQueueDepth(lock) })
 	}
 
 	src.Controller().SetShardFence(shard, true)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"netlock/internal/core"
 	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
 	"netlock/internal/rebalance"
@@ -26,38 +27,19 @@ import (
 // calls; c.mu serializes them against drains, failovers and installs.
 var _ rebalance.Mover = (*Controller)(nil)
 
-// serverIndexForLocked resolves a lock's home server, following drain
-// redirects. Caller holds c.mu.
-func (c *Controller) serverIndexForLocked(lockID uint32) int {
-	i := lockserver.RSSCore(lockID, len(c.servers))
-	for n := 0; n < len(c.servers); n++ {
-		t, ok := c.redirect[i]
-		if !ok {
-			return i
-		}
-		i = t
-	}
-	return i
-}
-
 // ServerIndexFor resolves a lock's home server index, drain redirects
 // applied.
 func (c *Controller) ServerIndexFor(lockID uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.serverIndexForLocked(lockID)
+	return c.route.Home(lockID)
 }
 
 // ResidentLocks returns the switch-resident lock IDs, ascending.
 func (c *Controller) ResidentLocks() []uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]uint32, 0, len(c.regions))
-	for id := range c.regions {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.layout.Locks()
 }
 
 // Placement returns each switch-resident lock's total slot count across
@@ -65,114 +47,30 @@ func (c *Controller) ResidentLocks() []uint32 {
 func (c *Controller) Placement() map[uint32]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[uint32]uint64, len(c.regions))
-	for id, regs := range c.regions {
-		var n uint64
-		for _, r := range regs {
-			n += r.Right - r.Left
-		}
-		out[id] = n
-	}
-	return out
+	return c.layout.Placement()
 }
 
 // SwitchCapacity returns the chain's total queue-slot capacity.
 func (c *Controller) SwitchCapacity() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	banks, bankSlots := c.bankGeometryLocked()
-	return uint64(banks) * bankSlots
-}
-
-func (c *Controller) bankGeometryLocked() (int, uint64) {
-	var banks, slots int
-	c.members[0].WithDataPlane(func(dp *switchdp.Switch) {
-		banks, slots = dp.Banks(), dp.BankSlots()
-	})
-	return banks, uint64(slots)
+	return c.layout.Capacity()
 }
 
 // MeasureDemands reads and clears the per-lock load gauges rack-wide (the
-// head's switch counters plus every server's) and converts them into
+// head's switch counters plus every server's) and merges them into
 // memalloc demands over the given window, exactly as the embedded plane's
 // core.Manager.MeasureDemands does.
 func (c *Controller) MeasureDemands(windowSec float64) []memalloc.Demand {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if windowSec <= 0 {
-		panic("ctrlplane: non-positive measurement window")
+	var sw []switchdp.LockLoad
+	c.members[0].WithDataPlane(func(dp *switchdp.Switch) { sw = dp.CtrlMeasure() })
+	var srv []lockserver.LockLoad
+	for _, s := range c.servers {
+		s.WithLockServer(func(ls *lockserver.Server) { srv = append(srv, ls.CtrlMeasure()...) })
 	}
-	byID := make(map[uint32]*memalloc.Demand)
-	c.members[0].WithDataPlane(func(dp *switchdp.Switch) {
-		for _, l := range dp.CtrlMeasure() {
-			byID[l.LockID] = &memalloc.Demand{
-				LockID:     l.LockID,
-				Rate:       float64(l.Requests) / windowSec,
-				Contention: l.MaxQueue,
-			}
-		}
-	})
-	for _, srv := range c.servers {
-		srv.WithLockServer(func(ls *lockserver.Server) {
-			for _, l := range ls.CtrlMeasure() {
-				if d, ok := byID[l.LockID]; ok {
-					d.Contention += l.BufferedPeak
-					continue
-				}
-				if !l.Owned {
-					continue
-				}
-				byID[l.LockID] = &memalloc.Demand{
-					LockID:     l.LockID,
-					Rate:       float64(l.Requests) / windowSec,
-					Contention: l.MaxConcurrent,
-				}
-			}
-		})
-	}
-	out := make([]memalloc.Demand, 0, len(byID))
-	for _, d := range byID {
-		out = append(out, *d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LockID < out[j].LockID })
-	return out
-}
-
-// allocRegionsLocked finds a free region of the needed size in every bank
-// (first fit over the controller's placement records). Caller holds c.mu.
-func (c *Controller) allocRegionsLocked(need []uint64) ([]switchdp.Region, error) {
-	banks, bankSlots := c.bankGeometryLocked()
-	if len(need) != banks {
-		return nil, fmt.Errorf("ctrlplane: %d sizes for %d banks", len(need), banks)
-	}
-	out := make([]switchdp.Region, banks)
-	for b := 0; b < banks; b++ {
-		var used []switchdp.Region
-		for _, regs := range c.regions {
-			if b < len(regs) && regs[b].Right > regs[b].Left {
-				used = append(used, regs[b])
-			}
-		}
-		sort.Slice(used, func(i, j int) bool { return used[i].Left < used[j].Left })
-		cursor := uint64(0)
-		placed := false
-		for _, u := range used {
-			if u.Left >= cursor+need[b] {
-				break
-			}
-			if u.Right > cursor {
-				cursor = u.Right
-			}
-		}
-		if cursor+need[b] <= bankSlots {
-			out[b] = switchdp.Region{Left: cursor, Right: cursor + need[b]}
-			placed = true
-		}
-		if !placed {
-			return nil, fmt.Errorf("ctrlplane: no free region of %d slots in bank %d", need[b], b)
-		}
-	}
-	return out, nil
+	return core.MergeDemands(windowSec, sw, srv)
 }
 
 // MoveToServer live-demotes a switch-resident lock to its home lock
@@ -183,13 +81,13 @@ func (c *Controller) allocRegionsLocked(need []uint64) ([]switchdp.Region, error
 func (c *Controller) MoveToServer(lockID uint32) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.regions[lockID]; !ok {
+	if c.layout.Regions(lockID) == nil {
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d is not switch-resident", lockID)
 	}
 	if len(c.servers) == 0 {
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to demote to")
 	}
-	srv := c.servers[c.serverIndexForLocked(lockID)]
+	srv := c.servers[c.route.Home(lockID)]
 	srv.PrepareImport(lockID)
 	ex, baseNs, err := c.members[0].MigrateDemoteLock(lockID)
 	if err != nil {
@@ -217,21 +115,21 @@ func (c *Controller) MoveToServer(lockID uint32) (rebalance.Report, error) {
 		// state. Import only fails on shape errors the export cannot have.
 		panic(fmt.Sprintf("ctrlplane: demoted state for lock %d rejected by server: %v", lockID, err))
 	}
-	delete(c.regions, lockID)
+	c.layout.Release(lockID)
 	return rep, nil
 }
 
 // MoveToSwitch live-promotes a server-owned lock into the switch chain
-// with `slots` total queue slots, split across the priority banks as
-// core.Manager does (and widened per bank to the live queue depth if
-// deeper). The server's state is exported, leases are rebased onto the
-// head's clock, regions are allocated from the controller's free map, and
-// the chain installs the state at one op-stream position. On any failure
-// after the export the state rolls back to the server.
+// with `slots` total queue slots, split across the priority banks by the
+// shared layout (and widened per bank to the live queue depth if deeper).
+// The server's state is exported, leases are rebased onto the head's
+// clock, regions are placed in the controller's layout, and the chain
+// installs the state at one op-stream position. On any failure after the
+// export the state rolls back to the server.
 func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.regions[lockID]; ok {
+	if c.layout.Regions(lockID) != nil {
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d already switch-resident", lockID)
 	}
 	if slots == 0 {
@@ -240,7 +138,7 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report
 	if len(c.servers) == 0 {
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to promote from")
 	}
-	srv := c.servers[c.serverIndexForLocked(lockID)]
+	srv := c.servers[c.route.Home(lockID)]
 	ex, err := srv.ExportLock(lockID)
 	if err != nil {
 		return rebalance.Report{}, err
@@ -250,28 +148,12 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report
 			panic(fmt.Sprintf("ctrlplane: rollback of lock %d failed: %v", lockID, err))
 		}
 	}
-	banks, _ := c.bankGeometryLocked()
-	if len(ex.Banks) > banks {
+	sizes, _ := c.layout.Split(slots, ex.Banks)
+	if len(ex.Banks) > len(sizes) {
 		rollback()
-		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(ex.Banks), banks)
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(ex.Banks), len(sizes))
 	}
-	per, extra := slots/uint64(banks), slots%uint64(banks)
-	need := make([]uint64, banks)
-	for b := range need {
-		need[b] = per
-		if uint64(b) < extra {
-			need[b]++
-		}
-		// The wire format cannot express an empty region, and a bank's
-		// live queue must fit whole.
-		if need[b] == 0 {
-			need[b] = 1
-		}
-		if b < len(ex.Banks) && uint64(len(ex.Banks[b])) > need[b] {
-			need[b] = uint64(len(ex.Banks[b]))
-		}
-	}
-	regions, err := c.allocRegionsLocked(need)
+	regions, err := c.layout.Reserve(lockID, sizes)
 	if err != nil {
 		rollback()
 		return rebalance.Report{}, err
@@ -280,8 +162,8 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report
 	// rollback if the chain refuses the promote.
 	rep := rebalance.Report{LockID: lockID, ToSwitch: true}
 	headNow := c.members[0].NowNs()
-	rebased := make([][]lockserver.ExportEntry, banks)
-	for b := 0; b < banks && b < len(ex.Banks); b++ {
+	rebased := make([][]lockserver.ExportEntry, len(regions))
+	for b := range ex.Banks {
 		rebased[b] = append([]lockserver.ExportEntry(nil), ex.Banks[b]...)
 		for i := range rebased[b] {
 			if rebased[b][i].LeaseNs != 0 {
@@ -295,10 +177,10 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report
 		}
 	}
 	if err := c.members[0].MigratePromoteLock(lockID, regions, rebased); err != nil {
+		c.layout.Release(lockID)
 		rollback()
 		return rebalance.Report{}, err
 	}
-	c.regions[lockID] = regions
 	return rep, nil
 }
 
@@ -331,23 +213,9 @@ func moveServerToServer(from, to *transport.Server, lockID uint32) error {
 func (c *Controller) DrainServer(victim, target int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if victim < 0 || victim >= len(c.servers) || target < 0 || target >= len(c.servers) {
-		return fmt.Errorf("ctrlplane: drain %d -> %d with %d servers", victim, target, len(c.servers))
-	}
-	if victim == target {
-		return fmt.Errorf("ctrlplane: server %d cannot drain to itself", victim)
-	}
-	// Follow the target's own redirects and refuse a cycle.
-	resolved := target
-	for n := 0; n < len(c.servers); n++ {
-		t, ok := c.redirect[resolved]
-		if !ok {
-			break
-		}
-		resolved = t
-	}
-	if resolved == victim {
-		return fmt.Errorf("ctrlplane: drain %d -> %d forms a redirect cycle", victim, target)
+	resolved, err := c.route.Check(victim, target)
+	if err != nil {
+		return fmt.Errorf("ctrlplane: drain server: %w", err)
 	}
 	vs, ts := c.servers[victim], c.servers[resolved]
 	vs.SetDraining(true)
@@ -366,8 +234,8 @@ func (c *Controller) DrainServer(victim, target int) error {
 			return err
 		}
 	}
-	c.redirect[victim] = resolved
-	return nil
+	_, err = c.route.Redirect(victim, resolved)
+	return err
 }
 
 // AddServer grows the server tier with an already-started node: locks (and
@@ -382,24 +250,16 @@ func (c *Controller) AddServer(srv *transport.Server) error {
 		return err
 	}
 	grown := append(append([]*transport.Server(nil), c.servers...), srv)
-	resolve := func(i int) int {
-		for n := 0; n < len(grown); n++ {
-			t, ok := c.redirect[i]
-			if !ok {
-				return i
-			}
-			i = t
-		}
-		return i
-	}
+	route := c.route
+	route.Grow()
 	for i, from := range c.servers {
-		if resolve(i) != i {
+		if route.Resolve(i) != i {
 			continue // drained: owns nothing
 		}
 		owned := from.OwnedLocks()
 		sort.Slice(owned, func(a, b int) bool { return owned[a] < owned[b] })
 		for _, id := range owned {
-			home := resolve(lockserver.RSSCore(id, len(grown)))
+			home := route.Home(id)
 			if home == i {
 				continue
 			}
@@ -408,7 +268,7 @@ func (c *Controller) AddServer(srv *transport.Server) error {
 			}
 		}
 		for _, id := range from.OverflowLocks() {
-			home := resolve(lockserver.RSSCore(id, len(grown)))
+			home := route.Home(id)
 			if home == i {
 				continue
 			}
@@ -420,6 +280,6 @@ func (c *Controller) AddServer(srv *transport.Server) error {
 			return err
 		}
 	}
-	c.servers = grown
+	c.servers, c.route = grown, route
 	return nil
 }

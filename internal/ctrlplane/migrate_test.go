@@ -2,13 +2,17 @@ package ctrlplane
 
 import (
 	"context"
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"netlock"
+	"netlock/internal/core"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
+	"netlock/internal/wire"
 )
 
 // Rack-level live-move tests: a Topology with real clients moves busy
@@ -226,4 +230,80 @@ func TestAddServerLive(t *testing.T) {
 	}
 	g.Release()
 	acquire(t, c, lockID).Release()
+}
+
+// dpLayout reads every resident lock's per-bank regions out of a data plane.
+func dpLayout(dp *switchdp.Switch) map[uint32][]switchdp.Region {
+	out := make(map[uint32][]switchdp.Region)
+	for _, id := range dp.CtrlResidentLocks() {
+		st, _ := dp.CtrlLockState(id)
+		for _, b := range st.Banks {
+			out[id] = append(out[id], switchdp.Region{Left: b.Left, Right: b.Right})
+		}
+	}
+	return out
+}
+
+// TestPlacementMatchesAcrossPlanes runs one preinstall / promote / demote
+// sequence on a 2-bank embedded core.Manager and on a 1-member, 2-bank
+// rack. Both planes place through the same layout, so after every step
+// they must report the same Placement and their data planes must hold the
+// same regions — including the odd split (remainder to bank 0) and a
+// promotion widened to a live queue deeper than its share.
+func TestPlacementMatchesAcrossPlanes(t *testing.T) {
+	dp := switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2}
+	emb := core.New(core.Config{Switch: dp, Servers: 1})
+	tp := topo(t, Config{Servers: 1, DataPlane: dp, Server: lockserver.Config{Priorities: 2}})
+	ctrl := tp.Controller()
+
+	// Lock 7 holds one grant and two waiters at its server on both planes.
+	queue := func(ls *lockserver.Server) {
+		for txn := uint64(1); txn <= 3; txn++ {
+			ls.ProcessPacket(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: 7, TxnID: txn,
+				ClientIP: netip.AddrFrom4([4]byte{10, 0, 0, 1})})
+		}
+	}
+	queue(emb.Server(0))
+	tp.Servers()[0].WithLockServer(queue)
+
+	steps := []struct {
+		name     string
+		emb, udp func() error
+	}{
+		{"preinstall 1 x16",
+			func() error { _, err := emb.PreinstallLock(1, 16); return err },
+			func() error { return ctrl.InstallLock(1, 16) }},
+		{"preinstall 2 x3",
+			func() error { _, err := emb.PreinstallLock(2, 3); return err },
+			func() error { return ctrl.InstallLock(2, 3) }},
+		{"promote 7 x2 over a 3-deep queue",
+			func() error { _, err := emb.MoveToSwitch(7, 2); return err },
+			func() error { _, err := ctrl.MoveToSwitch(7, 2); return err }},
+		{"demote 1",
+			func() error { _, _, err := emb.MoveToServer(1); return err },
+			func() error { _, err := ctrl.MoveToServer(1); return err }},
+		{"promote cold 9 x20",
+			func() error { _, err := emb.MoveToSwitch(9, 20); return err },
+			func() error { _, err := ctrl.MoveToSwitch(9, 20); return err }},
+	}
+	for _, s := range steps {
+		if err := s.emb(); err != nil {
+			t.Fatalf("%s: embedded: %v", s.name, err)
+		}
+		if err := s.udp(); err != nil {
+			t.Fatalf("%s: udp: %v", s.name, err)
+		}
+		if e, u := emb.Placement(), ctrl.Placement(); !reflect.DeepEqual(e, u) {
+			t.Fatalf("%s: placement embedded %v, udp %v", s.name, e, u)
+		}
+		var udpLayout map[uint32][]switchdp.Region
+		tp.Head().WithDataPlane(func(dp *switchdp.Switch) { udpLayout = dpLayout(dp) })
+		if e := dpLayout(emb.Switch()); !reflect.DeepEqual(e, udpLayout) {
+			t.Fatalf("%s: regions embedded %v, udp %v", s.name, e, udpLayout)
+		}
+	}
+	want := map[uint32]uint64{2: 3, 7: 4, 9: 20}
+	if got := ctrl.Placement(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final placement %v, want %v", got, want)
+	}
 }

@@ -9,9 +9,11 @@ import (
 	"netlock/internal/transport"
 )
 
-// SwitchLock pre-installs a switch-resident lock before traffic: Slots
-// queue slots per priority bank, laid out sequentially over the slot
-// arena.
+// SwitchLock pre-installs a switch-resident lock before traffic. Slots is
+// the lock's total queue slots, split across the priority banks exactly as
+// the embedded Manager's Preinstall splits them (rounded up to one slot
+// per bank, remainder to the low banks) and placed first-fit by the
+// controller's layout.
 type SwitchLock struct {
 	ID    uint32
 	Slots int
@@ -178,19 +180,8 @@ func New(cfg Config) (*Topology, error) {
 	}
 	t.ctrl = ctrl
 
-	// One region per priority bank per lock, laid out sequentially.
-	banks := cfg.DataPlane.Priorities
-	if banks < 1 {
-		banks = 1
-	}
-	off := 0
 	for _, sl := range cfg.SwitchLocks {
-		regions := make([]switchdp.Region, banks)
-		for b := range regions {
-			regions[b] = switchdp.Region{Left: uint64(off), Right: uint64(off + sl.Slots)}
-			off += sl.Slots
-		}
-		if err := ctrl.InstallLock(sl.ID, regions); err != nil {
+		if err := ctrl.InstallLock(sl.ID, uint64(sl.Slots)); err != nil {
 			return fail(fmt.Errorf("ctrlplane: install lock %d: %w", sl.ID, err))
 		}
 	}

@@ -180,7 +180,7 @@ func TestRehomeSwitchResident(t *testing.T) {
 	f := build(t, Config{Racks: 2})
 	m := f.Controller().Map()
 	lock := lockOn(t, m, 0)
-	if err := f.Rack(0).Controller().InstallLock(lock, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+	if err := f.Rack(0).Controller().InstallLock(lock, 8); err != nil {
 		t.Fatal(err)
 	}
 	c := fastClient(t, f)

@@ -257,14 +257,3 @@ func (s *Server) CtrlPending() []wire.Header {
 	}
 	return out
 }
-
-// RSSCore maps a lock ID to one of n receive queues, modeling the NIC's
-// Receive Side Scaling dispatch that partitions requests between cores
-// (§5). Deterministic so switch, servers and the testbed agree.
-func RSSCore(lockID uint32, cores int) int {
-	if cores <= 0 {
-		panic("lockserver: non-positive core count")
-	}
-	// Fibonacci hashing spreads adjacent lock IDs across cores.
-	return int((uint64(lockID) * 11400714819323198485) >> 32 % uint64(cores))
-}

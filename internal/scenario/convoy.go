@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
@@ -49,7 +50,7 @@ func runConvoy(cfg Config) (*Summary, error) {
 		DP:          switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2},
 		Servers:     1,
 		Server:      lockserver.Config{Priorities: 2},
-		SwitchLocks: []SwitchLock{{ID: hotLock, Slots: 16}},
+		SwitchLocks: []ctrlplane.SwitchLock{{ID: hotLock, Slots: 16}},
 	}
 	plane, err := NewPlane(pc)
 	if err != nil {

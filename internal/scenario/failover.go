@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
@@ -88,7 +89,7 @@ func runFailoverScenario(cfg Config) (*Summary, error) {
 	// Half the pool switch-resident, half server-owned, so the kills hit
 	// grants cached in the chain and grants queued at the servers.
 	for id := 1; id <= pr.lockPool/2; id++ {
-		pc.SwitchLocks = append(pc.SwitchLocks, SwitchLock{ID: uint32(id), Slots: 8})
+		pc.SwitchLocks = append(pc.SwitchLocks, ctrlplane.SwitchLock{ID: uint32(id), Slots: 8})
 	}
 	plane, err := NewPlane(pc)
 	if err != nil {

@@ -37,24 +37,11 @@ type MetricsSource interface {
 	Metrics() *obs.Snapshot
 }
 
-// SwitchLock pre-installs a switch-resident lock before traffic.
-type SwitchLock struct {
-	ID    uint32
-	Slots int
-}
-
-// TenantQuota configures one tenant's ingress meter.
-type TenantQuota struct {
-	Tenant uint8
-	PerSec float64
-	Burst  float64
-}
-
 // FaultInjector is the optional capability of planes that can kill rack
 // nodes mid-run: FailHead removes the current chain-head switch (udp
 // plane, Switches >= 2) or drops all data-plane state (embedded plane);
 // FailServer fails lock server i (the embedded plane reassigns its locks
-// to server i+1).
+// to server i+1, and refuses when there is none).
 type FaultInjector interface {
 	FailHead() error
 	FailServer(i int) error
@@ -77,8 +64,10 @@ type PlaneConfig struct {
 	Switches int
 	Server   lockserver.Config
 
-	SwitchLocks []SwitchLock
-	Quotas      []TenantQuota
+	// SwitchLocks are preinstalled on either plane; Slots is the lock's
+	// total queue slots, split across the priority banks.
+	SwitchLocks []ctrlplane.SwitchLock
+	Quotas      []ctrlplane.TenantQuota
 }
 
 // NewPlane builds the requested deployment.
@@ -93,8 +82,7 @@ func NewPlane(cfg PlaneConfig) (Plane, error) {
 }
 
 type embeddedPlane struct {
-	m       *netlock.Manager
-	servers int
+	m *netlock.Manager
 }
 
 func newEmbeddedPlane(cfg PlaneConfig) (*embeddedPlane, error) {
@@ -108,11 +96,7 @@ func newEmbeddedPlane(cfg PlaneConfig) (*embeddedPlane, error) {
 			return nil, fmt.Errorf("scenario: preinstall lock %d: %w", sl.ID, err)
 		}
 	}
-	servers := cfg.Embedded.Servers
-	if servers == 0 {
-		servers = 2 // netlock.Config default
-	}
-	return &embeddedPlane{m: m, servers: servers}, nil
+	return &embeddedPlane{m: m}, nil
 }
 
 func (p *embeddedPlane) Name() string { return "embedded" }
@@ -136,14 +120,8 @@ func (p *embeddedPlane) FailHead() error {
 	return nil
 }
 
-// FailServer reassigns server i's locks to the next server (§4.5).
-func (p *embeddedPlane) FailServer(i int) error {
-	if p.servers < 2 {
-		return fmt.Errorf("scenario: FailServer needs >= 2 servers")
-	}
-	p.m.FailServer(i%p.servers, (i+1)%p.servers)
-	return nil
-}
+// FailServer reassigns server i's locks to server i+1 (§4.5).
+func (p *embeddedPlane) FailServer(i int) error { return p.m.FailServer(i, i+1) }
 
 // scenarioChaos is the edge profile scenarios run under: lighter than the
 // conformance sweep's (scenario runs are long), still enough to force
@@ -165,22 +143,14 @@ func newUDPPlane(cfg PlaneConfig) (*udpPlane, error) {
 	if cfg.Chaos {
 		chaos = scenarioChaos(cfg.Seed)
 	}
-	locks := make([]ctrlplane.SwitchLock, len(cfg.SwitchLocks))
-	for i, sl := range cfg.SwitchLocks {
-		locks[i] = ctrlplane.SwitchLock{ID: sl.ID, Slots: sl.Slots}
-	}
-	quotas := make([]ctrlplane.TenantQuota, len(cfg.Quotas))
-	for i, q := range cfg.Quotas {
-		quotas[i] = ctrlplane.TenantQuota{Tenant: q.Tenant, PerSec: q.PerSec, Burst: q.Burst}
-	}
 	tp, err := ctrlplane.New(ctrlplane.Config{
 		Switches:    cfg.Switches,
 		Servers:     cfg.Servers,
 		DataPlane:   cfg.DP,
 		Server:      cfg.Server,
 		Chaos:       &chaos,
-		SwitchLocks: locks,
-		Quotas:      quotas,
+		SwitchLocks: cfg.SwitchLocks,
+		Quotas:      cfg.Quotas,
 	})
 	if err != nil {
 		return nil, err

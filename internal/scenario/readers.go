@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
@@ -57,7 +58,7 @@ func runReaders(cfg Config) (*Summary, error) {
 		Server:  lockserver.Config{},
 	}
 	for id := uint32(1); id <= hotSet/2; id++ {
-		pc.SwitchLocks = append(pc.SwitchLocks, SwitchLock{ID: id, Slots: 8})
+		pc.SwitchLocks = append(pc.SwitchLocks, ctrlplane.SwitchLock{ID: id, Slots: 8})
 	}
 	plane, err := NewPlane(pc)
 	if err != nil {

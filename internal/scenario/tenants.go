@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
@@ -75,7 +76,7 @@ func runTenants(cfg Config) (*Summary, error) {
 		Server:  lockserver.Config{},
 	}
 	for t := 0; t < wireTenants; t++ {
-		q := TenantQuota{Tenant: uint8(t), PerSec: 1e9, Burst: 1e6}
+		q := ctrlplane.TenantQuota{Tenant: uint8(t), PerSec: 1e9, Burst: 1e6}
 		if t < nCapped {
 			q.PerSec, q.Burst = cappedRate, cappedBurst
 		}

@@ -9,6 +9,7 @@ import (
 
 	"netlock"
 	"netlock/internal/check"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
@@ -399,7 +400,7 @@ func twoPLPlane(cfg Config, pr twoPLParams) (Plane, error) {
 	// Half the pool switch-resident, half server-owned, so transactions
 	// span both paths.
 	for id := 1; id <= pr.lockPool/2; id++ {
-		pc.SwitchLocks = append(pc.SwitchLocks, SwitchLock{ID: uint32(id), Slots: 8})
+		pc.SwitchLocks = append(pc.SwitchLocks, ctrlplane.SwitchLock{ID: uint32(id), Slots: 8})
 	}
 	return NewPlane(pc)
 }

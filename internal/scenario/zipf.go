@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netlock"
+	"netlock/internal/ctrlplane"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
@@ -55,7 +56,7 @@ func runZipf(cfg Config) (*Summary, error) {
 	if cfg.Plane == "udp" {
 		// Zipf rank 1 is the hottest ID; pin the hot prefix switch-resident.
 		for id := uint32(1); id <= 12; id++ {
-			pc.SwitchLocks = append(pc.SwitchLocks, SwitchLock{ID: id, Slots: 8})
+			pc.SwitchLocks = append(pc.SwitchLocks, ctrlplane.SwitchLock{ID: id, Slots: 8})
 		}
 	}
 	plane, err := NewPlane(pc)

@@ -92,11 +92,10 @@ type Switch struct {
 	doneNext int
 	eg       *egress
 
-	// serverRoute redirects a drained (or failed) server's partition index
-	// to its replacement; serverFor follows the chain. Routing is
-	// send-side-only state: members may briefly disagree during a flip
-	// without diverging, because only the tail's sends are visible.
-	serverRoute map[int]int
+	// route maps a lock to its index in servers, drain redirects applied.
+	// Routing is send-side-only state: members may briefly disagree during
+	// a flip without diverging, because only the tail's sends are visible.
+	route lockserver.Routing
 	// migStage accumulates a promote's sequenced state records (MigBegin …
 	// MigEntry) per lock until MigCommit installs them; part of the
 	// replicated apply path, so every member stages identically.
@@ -219,6 +218,7 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: switch needs at least one lock server")
 	}
+	s.route = lockserver.NewRouting(len(s.servers))
 	if cfg.SweepInterval == 0 {
 		cfg.SweepInterval = 10 * time.Millisecond
 	}
@@ -349,14 +349,7 @@ func (s *Switch) Close() error {
 }
 
 func (s *Switch) serverFor(lockID uint32) netip.AddrPort {
-	i := lockserver.RSSCore(lockID, len(s.servers))
-	for {
-		next, ok := s.serverRoute[i]
-		if !ok {
-			return s.servers[i]
-		}
-		i = next
-	}
+	return s.servers[s.route.Home(lockID)]
 }
 
 // SetServerRedirect reroutes partition victim to target, following any
@@ -366,25 +359,9 @@ func (s *Switch) serverFor(lockID uint32) netip.AddrPort {
 func (s *Switch) SetServerRedirect(victim, target int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if victim < 0 || victim >= len(s.servers) || target < 0 || target >= len(s.servers) {
-		return fmt.Errorf("transport: redirect %d -> %d out of range", victim, target)
+	if _, err := s.route.Redirect(victim, target); err != nil {
+		return fmt.Errorf("transport: %w", err)
 	}
-	if s.serverRoute == nil {
-		s.serverRoute = make(map[int]int)
-	}
-	// Refuse cycles: the target must not resolve back to the victim.
-	i := target
-	for {
-		next, ok := s.serverRoute[i]
-		if !ok {
-			break
-		}
-		if next == victim {
-			return fmt.Errorf("transport: redirect %d -> %d would cycle", victim, target)
-		}
-		i = next
-	}
-	s.serverRoute[victim] = target
 	return nil
 }
 
@@ -399,6 +376,7 @@ func (s *Switch) AddServerAddr(addr string) error {
 	}
 	s.mu.Lock()
 	s.servers = append(s.servers, ap)
+	s.route.Grow()
 	s.mu.Unlock()
 	return nil
 }

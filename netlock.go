@@ -769,13 +769,20 @@ func (m *Manager) FailSwitch() {
 // FailServer simulates a lock-server failure (§4.5): on every shard, the
 // locks owned by server index failed are adopted (with empty queues) by
 // server index replacement; clients resubmit and leases expire any stale
-// grants. Exposed for failure testing alongside FailSwitch.
-func (m *Manager) FailServer(failed, replacement int) {
+// grants. Exposed for failure testing alongside FailSwitch. An
+// out-of-range index, failed == replacement, or a replacement that
+// redirects back to failed is refused with an error and changes nothing:
+// every shard holds the same directory, so the first shard refuses before
+// any shard has moved a lock.
+func (m *Manager) FailServer(failed, replacement int) error {
 	m.lockAll()
+	defer m.unlockAll()
 	for _, sh := range m.shards {
-		sh.mgr.FailServer(failed, replacement)
+		if err := sh.mgr.FailServer(failed, replacement); err != nil {
+			return fmt.Errorf("netlock: %w", err)
+		}
 	}
-	m.unlockAll()
+	return nil
 }
 
 // RestartSwitch reactivates a failed switch: the control plane reinstalls

@@ -241,9 +241,6 @@ func (m *Manager) DrainServer(victim, target int) error {
 	}
 	m.lockAll()
 	defer m.unlockAll()
-	if victim < 0 || victim >= m.cfg.Servers || target < 0 || target >= m.cfg.Servers {
-		return fmt.Errorf("netlock: drain %d -> %d out of range [0,%d)", victim, target, m.cfg.Servers)
-	}
 	var firstErr error
 	for _, sh := range m.shards {
 		if sh.closed {
@@ -251,9 +248,9 @@ func (m *Manager) DrainServer(victim, target int) error {
 		}
 		emits, err := sh.mgr.DrainServer(victim, target)
 		if err != nil {
-			// Validation errors (self-drain, redirect cycle) are identical
-			// across shards; report the first and keep going so the shards
-			// stay in lockstep.
+			// Validation errors (out of range, self-drain, redirect cycle)
+			// are identical across shards; report the first and keep going
+			// so the shards stay in lockstep.
 			if firstErr == nil {
 				firstErr = err
 			}

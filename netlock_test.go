@@ -291,6 +291,45 @@ func TestFailoverWithLeases(t *testing.T) {
 	g.Release()
 }
 
+// TestFailServerRejectsBadInput: a failover the directory refuses returns
+// an error and changes nothing — every shard mutex is released, no lock is
+// rerouted, and Acquire keeps working on both shards and both servers.
+func TestFailServerRejectsBadInput(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		prior               [][2]int // failovers applied first
+		failed, replacement int
+	}{
+		{"self", nil, 1, 1},
+		{"failed out of range", nil, 2, 0},
+		{"replacement out of range", nil, 0, 2},
+		{"negative index", nil, -1, 0},
+		{"cycle", [][2]int{{0, 1}}, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(Config{Servers: 2, Shards: 2})
+			defer m.Close()
+			for _, p := range c.prior {
+				if err := m.FailServer(p[0], p[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.FailServer(c.failed, c.replacement); err == nil {
+				t.Fatalf("FailServer(%d, %d) accepted", c.failed, c.replacement)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			for id := uint32(1); id <= 8; id++ {
+				g, err := m.Acquire(ctx, id, Exclusive)
+				if err != nil {
+					t.Fatalf("acquire %d after refused failover: %v", id, err)
+				}
+				g.Release()
+			}
+		})
+	}
+}
+
 func TestCloseUnblocksWaiters(t *testing.T) {
 	m := New(Config{Servers: 1})
 	ctx := context.Background()
