@@ -50,7 +50,6 @@ func main() {
 	flag.StringVar(&cfg.mode, "mode", "shared", "lock mode: shared, exclusive, or mixed (50/50)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop aggregate ops/sec (0: closed loop)")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "measurement duration")
-	flag.DurationVar(&cfg.flush, "flush", 0, "client flush interval (0: transport default)")
 	flag.DurationVar(&cfg.rebalanceEvery, "rebalance", 0, "self-hosted rack: tick the online lock-placement rebalancer at this interval (0 disables; disables preinstall so residency is earned)")
 	flag.IntVar(&cfg.rebalanceBudget, "rebalance-budget", 0, "max live migrations per rebalance tick (0: rebalance default)")
 	report := flag.Duration("report", time.Second, "live readout interval (0 disables)")
@@ -147,7 +146,6 @@ type loadConfig struct {
 	mode            string
 	rate            float64
 	duration        time.Duration
-	flush           time.Duration
 	rebalanceEvery  time.Duration
 	rebalanceBudget int
 }
@@ -245,8 +243,7 @@ func runLoad(cfg loadConfig, report time.Duration) (result, error) {
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		ccfg := transport.ClientConfig{
-			FlushInterval: cfg.flush,
-			Obs:           reg.Stripe(1 + i),
+			Obs: reg.Stripe(1 + i),
 		}
 		var c *transport.Client
 		var err error
@@ -410,7 +407,8 @@ func openLoop(ctx context.Context, c *transport.Client, cfg loadConfig, rate flo
 }
 
 // readout prints one live line per interval: instantaneous throughput plus
-// cumulative latency percentiles and egress batch factor.
+// cumulative latency percentiles, egress batch factor and the clients'
+// frame-open time (flush wait).
 func readout(reg *obs.Registry, done *atomic.Uint64, every time.Duration, stop chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -425,13 +423,16 @@ func readout(reg *obs.Registry, done *atomic.Uint64, every time.Duration, stop c
 		cur := done.Load()
 		sn := reg.Snapshot()
 		e2e := sn.Stage(obs.StageAcquireE2E)
-		fmt.Printf("t=%4.0fs %8.3f Mops/s  total=%d  p50=%.0fus p99=%.0fus  batch=%.1f ops/frame\n",
+		fw := sn.Stage(obs.StageClientFlushWait)
+		fmt.Printf("t=%4.0fs %8.3f Mops/s  total=%d  p50=%.0fus p99=%.0fus  batch=%.1f ops/frame  flush wait p50=%.1fus p99=%.1fus\n",
 			time.Since(started).Seconds(),
 			float64(cur-last)/every.Seconds()/1e6,
 			cur,
 			float64(e2e.Percentile(50))/1e3,
 			float64(e2e.Percentile(99))/1e3,
-			sn.Stage(obs.StageEgressBatch).Mean())
+			sn.Stage(obs.StageEgressBatch).Mean(),
+			float64(fw.Percentile(50))/1e3,
+			float64(fw.Percentile(99))/1e3)
 		last = cur
 	}
 }
@@ -557,7 +558,6 @@ func runFailoverLeg(cfg loadConfig) (failoverResult, error) {
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
-			FlushInterval: cfg.flush,
 			RetryInterval: 20 * time.Millisecond,
 			Obs:           reg.Stripe(1 + i),
 		})

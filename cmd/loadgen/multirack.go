@@ -71,13 +71,6 @@ func runMultirackBench(cfg loadConfig, path string, quick bool) error {
 	if quick {
 		cfg.duration = 2 * time.Second
 	}
-	if cfg.flush == 0 {
-		// Fabric frames fill on a per-rack clock, so the default
-		// flush-per-egress-cycle backstop would send partial frames and
-		// charge the multi-rack legs extra syscalls; a longer backstop lets
-		// frames fill on both legs alike.
-		cfg.flush = 2 * time.Millisecond
-	}
 
 	rep := multirackReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -185,8 +178,7 @@ func runFabricLeg(cfg loadConfig, racks, shards int) (fabricResult, error) {
 	var clients []*transport.Client
 	for i := 0; i < cfg.clients; i++ {
 		c, err := f.NewClient(transport.ClientConfig{
-			FlushInterval: cfg.flush,
-			Obs:           reg.Stripe(1 + i),
+			Obs: reg.Stripe(1 + i),
 		})
 		if err != nil {
 			return fabricResult{}, fmt.Errorf("client %d: %w", i, err)

@@ -195,7 +195,6 @@ func runDriftLeg(cfg loadConfig, hotN int, rebalanced bool) (driftResult, error)
 	}()
 	for i := 0; i < cfg.clients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
-			FlushInterval: cfg.flush,
 			// Acquires caught mid-move are answered with a redirect or not at
 			// all; a tight retransmit keeps a move from stranding a worker
 			// for the default (second-scale) retry.

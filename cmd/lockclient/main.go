@@ -35,7 +35,6 @@ func main() {
 	think := flag.Duration("think", 0, "hold time per lock")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-acquire timeout")
 	tenant := flag.Uint("tenant", 0, "tenant ID stamped on every acquire")
-	flush := flag.Duration("flush", 0, "client batch flush interval (0: transport default)")
 	flag.Parse()
 
 	mode := netlock.Exclusive
@@ -52,8 +51,7 @@ func main() {
 	var announced atomic.Uint64
 	for w := 0; w < *concurrency; w++ {
 		c, err := transport.NewClientConfig(transport.ClientConfig{
-			Switches:      strings.Split(*swAddr, ","),
-			FlushInterval: *flush,
+			Switches: strings.Split(*swAddr, ","),
 			OnFailover: func(epoch uint64, head string) {
 				// Every worker's client sees the announcement; log each
 				// epoch once.

@@ -134,6 +134,11 @@ const (
 	// buys per syscall. Unlike the other stages, samples are op counts,
 	// not nanoseconds.
 	StageEgressBatch
+	// StageClientFlushWait is the time a transport client's egress frame
+	// stays open: from the op that made it non-empty to the frame's write,
+	// one sample per frame. It is the client's batching delay, the first
+	// hop of an acquire's latency.
+	StageClientFlushWait
 	// NumStages is the number of defined stages.
 	NumStages
 )
@@ -141,7 +146,7 @@ const (
 // Stage metric names carry their unit suffix: latency stages end in "_ns",
 // size stages in "_ops" (Snapshot.String and the Prometheus exporter render
 // them accordingly).
-var stageNames = [NumStages]string{"switch_pass_ns", "server_queue_wait_ns", "acquire_e2e_ns", "egress_batch_ops"}
+var stageNames = [NumStages]string{"switch_pass_ns", "server_queue_wait_ns", "acquire_e2e_ns", "egress_batch_ops", "client_flush_wait_ns"}
 
 // String returns the stage's metric-name fragment.
 func (s Stage) String() string {

@@ -16,6 +16,7 @@ var stageHelp = [NumStages]string{
 	"Time a request waited in a lock-server queue before its grant, nanoseconds.",
 	"End-to-end acquire latency from request submission to grant delivery, nanoseconds.",
 	"Operations per egress batch frame (ops per datagram).",
+	"Time a client egress frame stayed open, from its first op to its write, nanoseconds.",
 }
 
 var counterHelp = [NumCounters]string{

@@ -75,7 +75,6 @@ func runMultirack(cfg Config) (*Summary, error) {
 	for i := range clients {
 		c, err := f.NewClient(transport.ClientConfig{
 			RetryInterval: 15 * time.Millisecond,
-			FlushInterval: 200 * time.Microsecond,
 		})
 		if err != nil {
 			return nil, err

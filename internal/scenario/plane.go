@@ -167,7 +167,6 @@ func newUDPPlane(cfg PlaneConfig) (*udpPlane, error) {
 	for i := 0; i < nClients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
 			RetryInterval: 15 * time.Millisecond,
-			FlushInterval: 200 * time.Microsecond,
 		})
 		if err != nil {
 			p.Close()

@@ -44,10 +44,9 @@ func TestFabricClientSteadyStateAllocs(t *testing.T) {
 	}
 	c, err := NewClientConfig(ClientConfig{
 		Fabric: &FabricClientConfig{Racks: racks, Map: m},
-		// Park the retry and flush tickers: a retransmit mid-measurement
-		// would be a (legitimate) extra send, not steady state.
+		// Park the retry sweep: a retransmit mid-measurement would be a
+		// (legitimate) extra send, not steady state.
 		RetryInterval: time.Hour,
-		FlushInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +22,11 @@ import (
 // is safe for concurrent use.
 //
 // Outgoing ops accumulate into batch frames (up to wire.MaxBatchOps per
-// datagram) and flush adaptively: immediately once every outstanding op is
-// buffered (a lone synchronous caller never waits on the batcher), when the
-// frame fills, and on the FlushInterval timer as a backstop. Completions arrive
-// on the shared read loop, which matches them to in-flight ops by
+// datagram) and leave when the frame is full, or as soon as the submitting
+// goroutine yields: the op that opens a frame wakes the client's flusher,
+// which the scheduler runs once the submitter blocks, so everything one
+// burst produced shares a datagram and no op waits on a timer. Completions
+// arrive on the shared read loop, which matches them to in-flight ops by
 // (lock, txn).
 //
 // Loss handling is end to end: unanswered acquires and un-acked releases
@@ -54,7 +56,6 @@ type Client struct {
 	localPort uint16
 	o         *obs.Stripe
 
-	flushEvery time.Duration
 	retryEvery time.Duration
 	onFailover func(epoch uint64, head string)
 
@@ -81,6 +82,11 @@ type Client struct {
 	grants map[pendKey]*Grant
 	// rackOut is sweep scratch: per-rack outstanding-op counts.
 	rackOut []int
+	// kick wakes flushLoop. No lost wake-up: while any rack frame is
+	// non-empty, a kick is pending or the flusher is about to take c.mu.
+	// Every frame's 0→1 transition happens under c.mu and sends a kick; a
+	// kick that lands after its frame already left costs one spare wake-up.
+	kick chan struct{}
 
 	acqPool   sync.Pool
 	grantPool sync.Pool
@@ -92,7 +98,8 @@ type Client struct {
 // clientRack is one rack's routing state inside a Client: the chain
 // member addresses (cur indexes the head, as far as this client knows),
 // the newest chain epoch seen from the rack, the rack's silence clocks,
-// and its open egress batch frame.
+// and its open egress batch frame with the time its first op arrived
+// (read only when obs is on).
 type clientRack struct {
 	targets  []netip.AddrPort
 	cur      int
@@ -101,6 +108,7 @@ type clientRack struct {
 	lastMove time.Time
 	bw       wire.BatchWriter
 	bstore   []byte
+	openedAt time.Time
 }
 
 // failoverEvent is one staged OnFailover notification.
@@ -127,9 +135,6 @@ type ClientConfig struct {
 	OnFailover func(epoch uint64, head string)
 	// Net is the socket factory; nil means real UDP.
 	Net Network
-	// FlushInterval is the backstop flush timer for buffered ops.
-	// Default 500µs. Most flushes happen adaptively before it fires.
-	FlushInterval time.Duration
 	// RetryInterval is the resend cadence for unanswered acquires and
 	// un-acked releases. Default 200ms.
 	RetryInterval time.Duration
@@ -200,10 +205,6 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: client socket: %w", err)
 	}
-	flush := cfg.FlushInterval
-	if flush <= 0 {
-		flush = 500 * time.Microsecond
-	}
 	retry := cfg.RetryInterval
 	if retry <= 0 {
 		retry = 200 * time.Millisecond
@@ -214,13 +215,13 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 		addrRack:   addrRack,
 		smap:       smap,
 		o:          cfg.Obs,
-		flushEvery: flush,
 		retryEvery: retry,
 		onFailover: cfg.OnFailover,
 		rackOut:    make([]int, len(racks)),
 		acquires:   make(map[pendKey]*AsyncAcquire),
 		releases:   make(map[pendKey]*Grant),
 		grants:     make(map[pendKey]*Grant),
+		kick:       make(chan struct{}, 1),
 		closed:     make(chan struct{}),
 	}
 	c.acqPool.New = func() any { return &AsyncAcquire{ch: make(chan struct{}, 1)} }
@@ -433,7 +434,6 @@ func (c *Client) submit(ctx context.Context, lockID uint32, mode netlock.Mode, c
 	}
 	c.acquires[a.key] = a
 	c.enqueueOp(&a.hdr)
-	c.maybeFlushLocked()
 	c.mu.Unlock()
 	return a, nil
 }
@@ -507,7 +507,7 @@ func (g *Grant) ReleaseWait(ctx context.Context) error {
 	}
 }
 
-// startRelease moves g into the release-pending table and sends the first
+// startRelease moves g into the release-pending table and queues the first
 // release datagram.
 func (c *Client) startRelease(g *Grant) {
 	h := g.hdr
@@ -517,7 +517,6 @@ func (c *Client) startRelease(g *Grant) {
 	c.releases[g.key] = g
 	g.lastSend = time.Now()
 	c.enqueueOp(&h)
-	c.maybeFlushLocked()
 	c.mu.Unlock()
 }
 
@@ -551,8 +550,9 @@ func (c *Client) rackFor(lockID uint32) int {
 	return 0
 }
 
-// enqueueOp appends one op to its rack's outgoing frame, flushing the frame
-// first if it is full. Caller holds c.mu.
+// enqueueOp appends one op to its rack's outgoing frame, writing the frame
+// first if it is full, and kicks the flusher when the op opens a frame.
+// Caller holds c.mu.
 func (c *Client) enqueueOp(h *wire.Header) {
 	rk := c.rackFor(h.LockID)
 	r := &c.racks[rk]
@@ -560,31 +560,13 @@ func (c *Client) enqueueOp(h *wire.Header) {
 		c.flushRackLocked(rk)
 		r.bw.Append(h)
 	}
-}
-
-// maybeFlushLocked applies the adaptive flush rule: send a rack's open
-// frame once it is full, or send everything once every outstanding op is
-// sitting in a frame (nothing is left in flight whose completion could
-// grow a batch). Fullness is judged per rack, not on the buffered total —
-// in fabric mode each rack's frame fills on its own clock, and flushing
-// every rack because the total reached one frame's worth would multiply
-// the frame rate by the rack count at partial fill. With a single rack
-// the two rules coincide. Caller holds c.mu.
-func (c *Client) maybeFlushLocked() {
-	n := 0
-	for i := range c.racks {
-		n += c.racks[i].bw.Count()
-	}
-	if n == 0 {
-		return
-	}
-	if n >= len(c.acquires)+len(c.releases) {
-		c.flushLocked()
-		return
-	}
-	for i := range c.racks {
-		if c.racks[i].bw.Count() >= wire.MaxBatchOps {
-			c.flushRackLocked(i)
+	if r.bw.Count() == 1 {
+		if c.o != nil {
+			r.openedAt = time.Now()
+		}
+		select {
+		case c.kick <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -605,27 +587,36 @@ func (c *Client) flushRackLocked(rk int) {
 		return
 	}
 	c.conn.WriteToUDPAddrPort(frame, r.targets[r.cur])
-	c.o.Inc(obs.CtrFramesOut)
-	c.o.Observe(obs.StageEgressBatch, int64(n))
+	if c.o != nil {
+		c.o.Inc(obs.CtrFramesOut)
+		c.o.Observe(obs.StageEgressBatch, int64(n))
+		c.o.Observe(obs.StageClientFlushWait, int64(time.Since(r.openedAt)))
+	}
 	r.bstore = frame[:0]
 	r.bw.Reset(r.bstore)
 }
 
-// flushLoop is the FlushInterval backstop for ops the adaptive rule left
-// buffered.
+// flushLoop writes the open frames each time an op opens one. The kick
+// readies it on the submitter's P, so it runs once the submitter blocks
+// (a generator waiting on its channel, a blocking Acquire in Wait, the read
+// loop back in ReadFrom); another idle P picks it up sooner. It then yields
+// once: the kick put it in the run-next slot, ahead of the goroutines the
+// read loop readied with the same burst of completions, and each of those
+// adds its ops to the frame before the frame leaves. Without the yield, 128
+// goroutines doing blocking Acquire/Release on one P sent 2 ops per frame
+// instead of ~35.
 func (c *Client) flushLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.flushEvery)
-	defer t.Stop()
 	for {
 		select {
 		case <-c.closed:
 			return
-		case <-t.C:
-			c.mu.Lock()
-			c.flushLocked()
-			c.mu.Unlock()
+		case <-c.kick:
 		}
+		runtime.Gosched()
+		c.mu.Lock()
+		c.flushLocked()
+		c.mu.Unlock()
 	}
 }
 
@@ -778,7 +769,8 @@ func (c *Client) rotateIfSilent(now time.Time) {
 }
 
 // sweepLoop enforces acquire deadlines and retransmits unanswered
-// acquires and un-acked releases every RetryInterval.
+// acquires and un-acked releases every RetryInterval. Its re-enqueues kick
+// the flusher like any other op.
 func (c *Client) sweepLoop() {
 	defer c.wg.Done()
 	tick := c.retryEvery / 4
@@ -820,7 +812,6 @@ func (c *Client) sweepLoop() {
 			}
 		}
 		c.rotateIfSilent(now)
-		c.flushLocked()
 		c.mu.Unlock()
 		for _, a := range expired {
 			c.finishAcquire(a)
@@ -882,9 +873,6 @@ func (c *Client) readLoop() {
 				c.o.Add(obs.CtrOpsIn, uint64(ops))
 			}
 		}
-		// Completions may have drained the in-flight set down to the
-		// buffered ops; re-check the adaptive flush rule.
-		c.maybeFlushLocked()
 		var events []failoverEvent
 		if len(c.failovers) > 0 {
 			events = append(events, c.failovers...)

@@ -28,10 +28,9 @@ func TestClientSteadyStateAllocs(t *testing.T) {
 
 	c, err := NewClientConfig(ClientConfig{
 		Switch: sw.Addr(),
-		// Park the retry and flush tickers: a retransmit mid-measurement
-		// would be a (legitimate) extra send, not steady state.
+		// Park the retry sweep: a retransmit mid-measurement would be a
+		// (legitimate) extra send, not steady state.
 		RetryInterval: time.Hour,
-		FlushInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

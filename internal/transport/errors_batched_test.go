@@ -52,7 +52,6 @@ func batchedClient(t *testing.T, cn *ChaosNet, sw *Switch) *Client {
 	c, err := NewClientConfig(ClientConfig{
 		Switch:        sw.Addr(),
 		Net:           cn,
-		FlushInterval: 100 * time.Microsecond,
 		RetryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {

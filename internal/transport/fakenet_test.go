@@ -124,7 +124,6 @@ func runConformance(t *testing.T, seed int64, quick bool) {
 	for i := 0; i < nClients; i++ {
 		c, err := tp.NewClient(transport.ClientConfig{
 			RetryInterval: 15 * time.Millisecond,
-			FlushInterval: 200 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
