@@ -22,9 +22,15 @@ func feedTxn(t *testing.T, order bool, trace []Event) (*Violation, *TxnChecker) 
 	return nil, tc
 }
 
-func acq(lock uint32, txn uint64) Event { return Event{Kind: EvAcquire, Lock: lock, Txn: txn, Excl: true} }
-func gnt(lock uint32, txn uint64) Event { return Event{Kind: EvGrant, Lock: lock, Txn: txn, Excl: true} }
-func rel(lock uint32, txn uint64) Event { return Event{Kind: EvRelease, Lock: lock, Txn: txn, Excl: true} }
+func acq(lock uint32, txn uint64) Event {
+	return Event{Kind: EvAcquire, Lock: lock, Txn: txn, Excl: true}
+}
+func gnt(lock uint32, txn uint64) Event {
+	return Event{Kind: EvGrant, Lock: lock, Txn: txn, Excl: true}
+}
+func rel(lock uint32, txn uint64) Event {
+	return Event{Kind: EvRelease, Lock: lock, Txn: txn, Excl: true}
+}
 
 // TestTxnCheckerCleanInterleaving: two multi-lock transactions over
 // disjoint locks, interleaved, each growing in order then shrinking —

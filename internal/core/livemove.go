@@ -6,8 +6,6 @@ import (
 	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/rebalance"
-	"netlock/internal/sharedqueue"
-	"netlock/internal/switchdp"
 )
 
 // Live region moves: unlike the drain-first protocol in Reallocate (§4.3
@@ -19,48 +17,36 @@ import (
 // messages (internal/transport).
 
 // MoveToServer live-demotes a resident lock to its home server: the
-// switch's queue state is exported (evicting the lock), converted, and
+// switch's queue state is exported (evicting the lock), rebased and
 // installed at the server with granted flags preserved; overflow requests
 // the server buffered while the lock was resident replay behind it. The
 // returned emits (q2-replay grants) must be delivered by the caller.
 func (m *Manager) MoveToServer(id uint32) (rebalance.Report, []lockserver.Emit, error) {
-	rep := rebalance.Report{LockID: id}
 	srv := m.servers[m.ServerFor(id)]
 	if srv.CtrlOwns(id) {
-		return rep, nil, fmt.Errorf("core: lock %d already server-owned", id)
+		return rebalance.Report{LockID: id}, nil, fmt.Errorf("core: lock %d already server-owned", id)
 	}
-	ex, err := m.sw.CtrlExportLock(id)
+	st, err := m.sw.CtrlExportLock(id)
 	if err != nil {
-		return rep, nil, err
+		return rebalance.Report{LockID: id}, nil, err
 	}
 	m.layout.Release(id)
-	banks := make([][]lockserver.ExportEntry, len(ex.Slots))
-	for b, slots := range ex.Slots {
-		for _, s := range slots {
-			h, lease, granted := switchdp.EntryFromSlot(id, b, s)
-			banks[b] = append(banks[b], lockserver.ExportEntry{Hdr: h, LeaseNs: lease, Granted: granted})
-			if granted {
-				rep.Granted = append(rep.Granted, s.TxnID)
-			} else {
-				rep.Waiting = append(rep.Waiting, s.TxnID)
-			}
-		}
-	}
-	emits, err := srv.CtrlImportLock(id, banks)
+	emits, err := srv.CtrlImportLock(st.Rebase(srv.CtrlNow()))
 	if err != nil {
 		// Unreachable with the ownership pre-check above; fail loudly rather
 		// than silently dropping holder state.
 		panic(fmt.Sprintf("core: live demote of lock %d lost state: %v", id, err))
 	}
-	return rep, emits, nil
+	return rebalance.NewReport(st, false), emits, nil
 }
 
 // MoveToSwitch live-promotes a server-owned lock into the switch with the
-// given slot count: the server's queues are exported (releasing ownership)
-// and installed literally in freshly reserved regions. The allocation is
-// widened if the live queue is deeper than requested, so the occupied state
-// always fits. On capacity failure the state is re-imported at the server
-// and the move reports an error; nothing is lost either way.
+// given slot count: the server's queues are exported (releasing ownership),
+// rebased and installed literally in freshly reserved regions. The
+// allocation is widened if the live queue is deeper than requested, so the
+// occupied state always fits. On capacity failure the original export is
+// re-imported at the server and the move reports an error; nothing is lost
+// either way.
 func (m *Manager) MoveToSwitch(id uint32, slots uint64) (rebalance.Report, error) {
 	rep := rebalance.Report{LockID: id, ToSwitch: true}
 	if m.sw.CtrlHasLock(id) {
@@ -70,40 +56,26 @@ func (m *Manager) MoveToSwitch(id uint32, slots uint64) (rebalance.Report, error
 		return rep, fmt.Errorf("core: %w: lock table full", ErrNoCapacity)
 	}
 	srv := m.servers[m.ServerFor(id)]
-	ex, err := srv.CtrlExportLock(id)
+	st, err := srv.CtrlExportLock(id)
 	if err != nil {
 		return rep, err
 	}
 	rollback := func() {
-		if _, rerr := srv.CtrlImportLock(id, ex.Banks); rerr != nil {
+		if _, rerr := srv.CtrlImportLock(st); rerr != nil {
 			panic(fmt.Sprintf("core: live promote rollback of lock %d lost state: %v", id, rerr))
 		}
 	}
-	regions, ok := m.reserve(id, slots, ex.Banks)
+	regions, ok := m.reserve(id, slots, st.Banks)
 	if !ok {
 		rollback()
 		return rep, fmt.Errorf("core: %w: queue memory exhausted for lock %d", ErrNoCapacity, id)
 	}
-	slotBanks := make([][]sharedqueue.Slot, len(regions))
-	for b := range regions {
-		if b >= len(ex.Banks) {
-			continue
-		}
-		for _, e := range ex.Banks[b] {
-			slotBanks[b] = append(slotBanks[b], switchdp.SlotFromEntry(e.Hdr, e.LeaseNs, e.Granted, b))
-			if e.Granted {
-				rep.Granted = append(rep.Granted, e.Hdr.TxnID)
-			} else {
-				rep.Waiting = append(rep.Waiting, e.Hdr.TxnID)
-			}
-		}
-	}
-	if err := m.sw.CtrlImportLock(id, regions, slotBanks); err != nil {
+	if err := m.sw.CtrlImportLock(regions, st.Rebase(m.sw.CtrlNow())); err != nil {
 		m.layout.Release(id)
 		rollback()
 		return rep, err
 	}
-	return rep, nil
+	return rebalance.NewReport(st, true), nil
 }
 
 // Placement returns the resident locks and their allocated slot counts — the
@@ -122,25 +94,8 @@ func (m *Manager) AddServer() (int, []lockserver.Emit) {
 	m.servers = append(m.servers, lockserver.New(m.cfg.ServerConfig))
 	idx := m.route.Grow()
 	var emits []lockserver.Emit
-	for i, src := range m.servers[:idx] {
-		for _, id := range src.CtrlOwnedLocks() {
-			if home := m.ServerFor(id); home != i {
-				ex, err := src.CtrlExportLock(id)
-				if err != nil {
-					continue
-				}
-				es, err := m.servers[home].CtrlImportLock(id, ex.Banks)
-				if err != nil {
-					panic(fmt.Sprintf("core: rehash of lock %d lost state: %v", id, err))
-				}
-				emits = append(emits, es...)
-			}
-		}
-		for _, id := range src.CtrlOverflowLocks() {
-			if home := m.ServerFor(id); home != i {
-				m.servers[home].CtrlImportOverflow(id, src.CtrlExportOverflow(id))
-			}
-		}
+	for i := range m.servers[:idx] {
+		emits = append(emits, m.evacuate(i, m.ServerFor)...)
 	}
 	return idx, emits
 }
@@ -157,24 +112,41 @@ func (m *Manager) DrainServer(victim, target int) ([]lockserver.Emit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: drain server: %w", err)
 	}
-	src, dst := m.servers[victim], m.servers[to]
-	src.CtrlSetDraining(true)
+	m.servers[victim].CtrlSetDraining(true)
+	emits := m.evacuate(victim, func(uint32) int { return to })
+	_, _ = m.route.Redirect(victim, to) // cannot fail: Check passed above
+	m.noteFailover(obs.FailoverServer)
+	return emits, nil
+}
+
+// evacuate moves off server from every lock it owns, and every overflow
+// residue it buffers, whose server under dest is another one: queue state
+// as export → rebase → import, overflow residue as is. DrainServer sends
+// everything to one target, AddServer each lock to its rehashed home.
+// Returns the q2-replay emits to deliver.
+func (m *Manager) evacuate(from int, dest func(uint32) int) []lockserver.Emit {
+	src := m.servers[from]
 	var emits []lockserver.Emit
 	for _, id := range src.CtrlOwnedLocks() {
-		ex, err := src.CtrlExportLock(id)
+		to := dest(id)
+		if to == from {
+			continue
+		}
+		st, err := src.CtrlExportLock(id)
 		if err != nil {
 			continue
 		}
-		es, err := dst.CtrlImportLock(id, ex.Banks)
+		dst := m.servers[to]
+		es, err := dst.CtrlImportLock(st.Rebase(dst.CtrlNow()))
 		if err != nil {
-			panic(fmt.Sprintf("core: drain of lock %d lost state: %v", id, err))
+			panic(fmt.Sprintf("core: move of lock %d from server %d lost state: %v", id, from, err))
 		}
 		emits = append(emits, es...)
 	}
 	for _, id := range src.CtrlOverflowLocks() {
-		dst.CtrlImportOverflow(id, src.CtrlExportOverflow(id))
+		if to := dest(id); to != from {
+			m.servers[to].CtrlImportOverflow(id, src.CtrlExportOverflow(id))
+		}
 	}
-	_, _ = m.route.Redirect(victim, to) // cannot fail: Check passed above
-	m.noteFailover(obs.FailoverServer)
-	return emits, nil
+	return emits
 }

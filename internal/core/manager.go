@@ -387,7 +387,7 @@ func (m *Manager) installLock(id uint32, slots uint64, report *Report) bool {
 // reserve places lock id in the layout with the bank split of slots
 // (widened to the live queues in live), compacting once and retrying when
 // free space is fragmented.
-func (m *Manager) reserve(id uint32, slots uint64, live [][]lockserver.ExportEntry) ([]switchdp.Region, bool) {
+func (m *Manager) reserve(id uint32, slots uint64, live [][]wire.LockEntry) ([]switchdp.Region, bool) {
 	sizes, _ := m.layout.Split(slots, live)
 	regions, err := m.layout.Reserve(id, sizes)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
 	"netlock/internal/switchdp"
+	"netlock/internal/wire"
 )
 
 // The placement ledger: the control plane's sole record of how switch
@@ -36,7 +37,7 @@ func NewLayout(banks int, bankSlots uint64) *Layout {
 // divided evenly, the remainder going to the low banks, and each bank is
 // widened to the depth of its live queue in live (nil for a cold lock) so
 // migrated state always fits. It returns the per-bank sizes and their sum.
-func (l *Layout) Split(slots uint64, live [][]lockserver.ExportEntry) ([]uint64, uint64) {
+func (l *Layout) Split(slots uint64, live [][]wire.LockEntry) ([]uint64, uint64) {
 	banks := uint64(len(l.banks))
 	slots = max(slots, banks)
 	sizes := make([]uint64, banks)

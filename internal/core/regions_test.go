@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 
 	"netlock/internal/check"
-	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
+	"netlock/internal/wire"
 )
 
 func TestRegionAllocFirstFit(t *testing.T) {
@@ -160,10 +160,10 @@ func TestRegionAllocatorInvariantProperty(t *testing.T) {
 // per bank, remainder to the low banks, each bank widened to its live queue.
 func TestLayoutSplit(t *testing.T) {
 	l := NewLayout(3, 64)
-	live := [][]lockserver.ExportEntry{nil, make([]lockserver.ExportEntry, 9)}
+	live := [][]wire.LockEntry{nil, make([]wire.LockEntry, 9)}
 	for _, c := range []struct {
 		slots uint64
-		live  [][]lockserver.ExportEntry
+		live  [][]wire.LockEntry
 		sizes []uint64
 		total uint64
 	}{

@@ -15,24 +15,6 @@ import (
 // the source rack and importing it — leases rebased, switch client tables
 // seeded — at the destination.
 
-// ShardLockState is one lock's full queue state in transit between racks:
-// the per-bank holder/waiter entries plus the source rack's clock base for
-// lease rebasing.
-type ShardLockState struct {
-	LockID uint32
-	BaseNs int64
-	Banks  [][]lockserver.ExportEntry
-}
-
-// Entries returns the number of queue entries crossing with the lock.
-func (s *ShardLockState) Entries() int {
-	n := 0
-	for _, b := range s.Banks {
-		n += len(b)
-	}
-	return n
-}
-
 // SetShardMap installs the fabric shard map and this rack's index on every
 // chain member, so a promoted head filters ingress identically.
 func (c *Controller) SetShardMap(m *wire.ShardMap, selfRack int) {
@@ -66,15 +48,15 @@ func (c *Controller) ReleasesDrained(match func(uint32) bool) bool {
 }
 
 // ExportShard removes every lock matching the predicate from this rack and
-// returns its live state. Switch-resident matching locks are first demoted
-// to their home servers (the chain exports and evicts them at one
-// op-stream position), then each server's matching locks are exported —
-// holders, waiters, and q2 overflow residue alike — and finally every
-// chain member's client tables are purged so the source rack stops
-// speaking for the moved locks. Callers fence the shard (and drain pending
-// releases) first, so no new state lands between the snapshot and the
-// purge.
-func (c *Controller) ExportShard(match func(uint32) bool) ([]ShardLockState, error) {
+// returns its live state, ascending by lock. Switch-resident matching
+// locks are first demoted to their home servers (the chain exports and
+// evicts them at one op-stream position), then each server's matching
+// locks are exported — holders, waiters, and q2 overflow residue alike —
+// and finally every chain member's client tables are purged so the source
+// rack stops speaking for the moved locks. Callers fence the shard (and
+// drain pending releases) first, so no new state lands between the
+// snapshot and the purge.
+func (c *Controller) ExportShard(match func(uint32) bool) ([]wire.LockState, error) {
 	for _, id := range c.ResidentLocks() {
 		if match(id) {
 			if _, err := c.MoveToServer(id); err != nil {
@@ -84,19 +66,24 @@ func (c *Controller) ExportShard(match func(uint32) bool) ([]ShardLockState, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []ShardLockState
+	var out []wire.LockState
 	for _, srv := range c.servers {
-		owned := srv.OwnedLocks()
-		sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
-		for _, id := range owned {
-			if !match(id) {
-				continue
+		var err error
+		srv.WithLockServer(func(ls *lockserver.Server) {
+			for _, id := range ls.CtrlOwnedLocks() {
+				if !match(id) {
+					continue
+				}
+				var st wire.LockState
+				if st, err = ls.CtrlExportLock(id); err != nil {
+					err = fmt.Errorf("ctrlplane: export lock %d: %w", id, err)
+					return
+				}
+				out = append(out, st)
 			}
-			ex, err := srv.ExportLock(id)
-			if err != nil {
-				return nil, fmt.Errorf("ctrlplane: export lock %d: %w", id, err)
-			}
-			out = append(out, ShardLockState{LockID: id, BaseNs: ex.BaseNs, Banks: ex.Banks})
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LockID < out[j].LockID })
@@ -114,7 +101,7 @@ func (c *Controller) ExportShard(match func(uint32) bool) ([]ShardLockState, err
 // into the pending table so their grants are delivered. Callers flip the
 // shard map only after this returns, so the state is fully home before any
 // client is routed here.
-func (c *Controller) ImportShard(states []ShardLockState) error {
+func (c *Controller) ImportShard(states []wire.LockState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, st := range states {
@@ -122,25 +109,15 @@ func (c *Controller) ImportShard(states []ShardLockState) error {
 			return fmt.Errorf("ctrlplane: no lock server to import lock %d", st.LockID)
 		}
 		srv := c.servers[c.route.Home(st.LockID)]
-		srv.PrepareImport(st.LockID)
-		nowNs := srv.NowNs()
-		banks := make([][]lockserver.ExportEntry, len(st.Banks))
-		for b := range st.Banks {
-			banks[b] = append([]lockserver.ExportEntry(nil), st.Banks[b]...)
-			for i := range banks[b] {
-				if banks[b][i].LeaseNs != 0 {
-					banks[b][i].LeaseNs = banks[b][i].LeaseNs - st.BaseNs + nowNs
-				}
-			}
-		}
-		if err := srv.ImportLock(st.LockID, banks); err != nil {
+		srv.WithLockServer(func(ls *lockserver.Server) { ls.CtrlPrepareImport(st.LockID) })
+		st, err := importLock(srv, st)
+		if err != nil {
 			return fmt.Errorf("ctrlplane: import lock %d: %w", st.LockID, err)
 		}
-		for b := range banks {
-			for i := range banks[b] {
-				e := &banks[b][i]
+		for _, bank := range st.Banks {
+			for i := range bank {
 				for _, m := range c.members {
-					m.ImportClientState(e.Granted, &e.Hdr, e.LeaseNs)
+					m.ImportClientState(bank[i].Granted, &bank[i].Hdr, bank[i].LeaseNs)
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"netlock"
 	"netlock/internal/lockserver"
 	"netlock/internal/obs"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -140,17 +141,13 @@ func TestShardExportImport(t *testing.T) {
 	if len(states) != 1 || states[0].LockID != lock {
 		t.Fatalf("exported %d locks, want lock %d alone", len(states), lock)
 	}
-	if got := states[0].Entries(); got != 2 {
-		t.Fatalf("exported %d entries, want holder + waiter", got)
+	if rep := rebalance.NewReport(states[0], false); len(rep.Granted) != 1 || len(rep.Waiting) != 1 {
+		t.Fatalf("exported granted=%v waiting=%v, want holder + waiter", rep.Granted, rep.Waiting)
 	}
 
 	// Source keeps nothing: no server owns the lock, no client tables.
-	for _, srv := range src.Servers() {
-		for _, id := range srv.OwnedLocks() {
-			if id == lock {
-				t.Fatal("source server still owns the exported lock")
-			}
-		}
+	if ownedBy(src.Servers(), lock) {
+		t.Fatal("source server still owns the exported lock")
 	}
 	hs := src.Head().Snapshot()
 	if hs.TrackedGrants != 0 || hs.PendingAcquires != 0 {
@@ -160,15 +157,7 @@ func TestShardExportImport(t *testing.T) {
 	if err := dst.Controller().ImportShard(states); err != nil {
 		t.Fatal(err)
 	}
-	owned := false
-	for _, srv := range dst.Servers() {
-		for _, id := range srv.OwnedLocks() {
-			if id == lock {
-				owned = true
-			}
-		}
-	}
-	if !owned {
+	if !ownedBy(dst.Servers(), lock) {
 		t.Fatal("destination server does not own the imported lock")
 	}
 	// The holder's grant entered every destination member's grant cache

@@ -2,7 +2,6 @@ package ctrlplane
 
 import (
 	"fmt"
-	"sort"
 
 	"netlock/internal/core"
 	"netlock/internal/lockserver"
@@ -10,6 +9,7 @@ import (
 	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
+	"netlock/internal/wire"
 )
 
 // Rack-level live migration: the controller moves a lock's occupied queue
@@ -76,8 +76,8 @@ func (c *Controller) MeasureDemands(windowSec float64) []memalloc.Demand {
 // MoveToServer live-demotes a switch-resident lock to its home lock
 // server: the destination is primed (so a racing request bounces instead
 // of adopting the lock), the chain exports and evicts the lock at one
-// op-stream position, and the state — leases rebased onto the server's
-// clock — is installed at the server.
+// op-stream position, and the state — rebased onto the server's clock —
+// is installed at the server.
 func (c *Controller) MoveToServer(lockID uint32) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -88,44 +88,27 @@ func (c *Controller) MoveToServer(lockID uint32) (rebalance.Report, error) {
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to demote to")
 	}
 	srv := c.servers[c.route.Home(lockID)]
-	srv.PrepareImport(lockID)
-	ex, baseNs, err := c.members[0].MigrateDemoteLock(lockID)
+	srv.WithLockServer(func(ls *lockserver.Server) { ls.CtrlPrepareImport(lockID) })
+	st, err := c.members[0].MigrateDemoteLock(lockID)
 	if err != nil {
 		return rebalance.Report{}, err
 	}
-	rep := rebalance.Report{LockID: lockID, ToSwitch: false}
-	nowNs := srv.NowNs()
-	banks := make([][]lockserver.ExportEntry, len(ex.Slots))
-	for b := range ex.Slots {
-		for _, sl := range ex.Slots[b] {
-			h, lease, granted := switchdp.EntryFromSlot(lockID, b, sl)
-			if lease != 0 {
-				lease = lease - baseNs + nowNs
-			}
-			banks[b] = append(banks[b], lockserver.ExportEntry{Hdr: h, LeaseNs: lease, Granted: granted})
-			if granted {
-				rep.Granted = append(rep.Granted, h.TxnID)
-			} else {
-				rep.Waiting = append(rep.Waiting, h.TxnID)
-			}
-		}
-	}
-	if err := srv.ImportLock(lockID, banks); err != nil {
+	if _, err := importLock(srv, st); err != nil {
 		// The export has left the chain; failing to land it would lose
 		// state. Import only fails on shape errors the export cannot have.
 		panic(fmt.Sprintf("ctrlplane: demoted state for lock %d rejected by server: %v", lockID, err))
 	}
 	c.layout.Release(lockID)
-	return rep, nil
+	return rebalance.NewReport(st, false), nil
 }
 
 // MoveToSwitch live-promotes a server-owned lock into the switch chain
 // with `slots` total queue slots, split across the priority banks by the
 // shared layout (and widened per bank to the live queue depth if deeper).
-// The server's state is exported, leases are rebased onto the head's
-// clock, regions are placed in the controller's layout, and the chain
-// installs the state at one op-stream position. On any failure after the
-// export the state rolls back to the server.
+// The server's state is exported, regions are placed in the controller's
+// layout, and the chain installs a copy rebased onto the head's clock at
+// one op-stream position. On any failure after the export the original
+// state rolls back to the server.
 func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,67 +122,82 @@ func (c *Controller) MoveToSwitch(lockID uint32, slots uint64) (rebalance.Report
 		return rebalance.Report{}, fmt.Errorf("ctrlplane: no lock server to promote from")
 	}
 	srv := c.servers[c.route.Home(lockID)]
-	ex, err := srv.ExportLock(lockID)
+	var st wire.LockState
+	var err error
+	srv.WithLockServer(func(ls *lockserver.Server) { st, err = ls.CtrlExportLock(lockID) })
 	if err != nil {
 		return rebalance.Report{}, err
 	}
 	rollback := func() {
-		if err := srv.ImportLock(lockID, ex.Banks); err != nil {
+		if err := srv.ImportLock(st); err != nil {
 			panic(fmt.Sprintf("ctrlplane: rollback of lock %d failed: %v", lockID, err))
 		}
 	}
-	sizes, _ := c.layout.Split(slots, ex.Banks)
-	if len(ex.Banks) > len(sizes) {
+	sizes, _ := c.layout.Split(slots, st.Banks)
+	if len(st.Banks) > len(sizes) {
 		rollback()
-		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(ex.Banks), len(sizes))
+		return rebalance.Report{}, fmt.Errorf("ctrlplane: lock %d has %d banks, switch has %d", lockID, len(st.Banks), len(sizes))
 	}
 	regions, err := c.layout.Reserve(lockID, sizes)
 	if err != nil {
 		rollback()
 		return rebalance.Report{}, err
 	}
-	// Rebase a copy: the original stays valid (on the server's clock) for
-	// rollback if the chain refuses the promote.
-	rep := rebalance.Report{LockID: lockID, ToSwitch: true}
-	headNow := c.members[0].NowNs()
-	rebased := make([][]lockserver.ExportEntry, len(regions))
-	for b := range ex.Banks {
-		rebased[b] = append([]lockserver.ExportEntry(nil), ex.Banks[b]...)
-		for i := range rebased[b] {
-			if rebased[b][i].LeaseNs != 0 {
-				rebased[b][i].LeaseNs = rebased[b][i].LeaseNs - ex.BaseNs + headNow
-			}
-			if rebased[b][i].Granted {
-				rep.Granted = append(rep.Granted, rebased[b][i].Hdr.TxnID)
-			} else {
-				rep.Waiting = append(rep.Waiting, rebased[b][i].Hdr.TxnID)
-			}
-		}
-	}
-	if err := c.members[0].MigratePromoteLock(lockID, regions, rebased); err != nil {
+	head := c.members[0]
+	if err := head.MigratePromoteLock(regions, st.Rebase(head.NowNs())); err != nil {
 		c.layout.Release(lockID)
 		rollback()
 		return rebalance.Report{}, err
 	}
-	return rep, nil
+	return rebalance.NewReport(st, true), nil
 }
 
-// moveServerToServer transfers one owned lock between two servers, leases
-// rebased across their clocks. Caller holds c.mu.
-func moveServerToServer(from, to *transport.Server, lockID uint32) error {
-	ex, err := from.ExportLock(lockID)
-	if err != nil {
-		return err
-	}
-	nowNs := to.NowNs()
-	for b := range ex.Banks {
-		for i := range ex.Banks[b] {
-			if ex.Banks[b][i].LeaseNs != 0 {
-				ex.Banks[b][i].LeaseNs = ex.Banks[b][i].LeaseNs - ex.BaseNs + nowNs
-			}
+// importLock rebases st onto srv's clock and installs it there, returning
+// the rebased copy. The clock read and the import each take srv's lock on
+// their own, so a move never holds two servers at once.
+func importLock(srv *transport.Server, st wire.LockState) (wire.LockState, error) {
+	var now int64
+	srv.WithLockServer(func(ls *lockserver.Server) { now = ls.CtrlNow() })
+	st = st.Rebase(now)
+	return st, srv.ImportLock(st)
+}
+
+// evacuate moves off servers[from] every lock it owns, and every overflow
+// residue it buffers, whose server under dest is another one: queue state
+// as export → rebase → import, overflow residue as is. DrainServer sends
+// everything to one target, AddServer each lock to its rehashed home.
+// Caller holds c.mu.
+func evacuate(servers []*transport.Server, from int, dest func(uint32) int) error {
+	src := servers[from]
+	var owned []uint32
+	src.WithLockServer(func(ls *lockserver.Server) { owned = ls.CtrlOwnedLocks() })
+	for _, id := range owned {
+		to := dest(id)
+		if to == from {
+			continue
+		}
+		var st wire.LockState
+		var err error
+		src.WithLockServer(func(ls *lockserver.Server) { st, err = ls.CtrlExportLock(id) })
+		if err == nil {
+			_, err = importLock(servers[to], st)
+		}
+		if err != nil {
+			return fmt.Errorf("move lock %d: %w", id, err)
 		}
 	}
-	return to.ImportLock(lockID, ex.Banks)
+	var overflow []uint32
+	src.WithLockServer(func(ls *lockserver.Server) { overflow = ls.CtrlOverflowLocks() })
+	for _, id := range overflow {
+		to := dest(id)
+		if to == from {
+			continue
+		}
+		var banks [][]wire.Header
+		src.WithLockServer(func(ls *lockserver.Server) { banks = ls.CtrlExportOverflow(id) })
+		servers[to].WithLockServer(func(ls *lockserver.Server) { ls.CtrlImportOverflow(id, banks) })
+	}
+	return nil
 }
 
 // DrainServer evacuates lock server victim onto target and redirects the
@@ -217,17 +215,9 @@ func (c *Controller) DrainServer(victim, target int) error {
 	if err != nil {
 		return fmt.Errorf("ctrlplane: drain server: %w", err)
 	}
-	vs, ts := c.servers[victim], c.servers[resolved]
-	vs.SetDraining(true)
-	owned := vs.OwnedLocks()
-	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
-	for _, id := range owned {
-		if err := moveServerToServer(vs, ts, id); err != nil {
-			return fmt.Errorf("ctrlplane: drain lock %d: %w", id, err)
-		}
-	}
-	for _, id := range vs.OverflowLocks() {
-		ts.ImportOverflow(id, vs.ExportOverflow(id))
+	c.servers[victim].WithLockServer(func(ls *lockserver.Server) { ls.CtrlSetDraining(true) })
+	if err := evacuate(c.servers, victim, func(uint32) int { return resolved }); err != nil {
+		return fmt.Errorf("ctrlplane: drain server %d: %w", victim, err)
 	}
 	for _, m := range c.members {
 		if err := m.SetServerRedirect(victim, resolved); err != nil {
@@ -252,27 +242,12 @@ func (c *Controller) AddServer(srv *transport.Server) error {
 	grown := append(append([]*transport.Server(nil), c.servers...), srv)
 	route := c.route
 	route.Grow()
-	for i, from := range c.servers {
+	for i := range c.servers {
 		if route.Resolve(i) != i {
 			continue // drained: owns nothing
 		}
-		owned := from.OwnedLocks()
-		sort.Slice(owned, func(a, b int) bool { return owned[a] < owned[b] })
-		for _, id := range owned {
-			home := route.Home(id)
-			if home == i {
-				continue
-			}
-			if err := moveServerToServer(from, grown[home], id); err != nil {
-				return fmt.Errorf("ctrlplane: rehash lock %d: %w", id, err)
-			}
-		}
-		for _, id := range from.OverflowLocks() {
-			home := route.Home(id)
-			if home == i {
-				continue
-			}
-			grown[home].ImportOverflow(id, from.ExportOverflow(id))
+		if err := evacuate(grown, i, route.Home); err != nil {
+			return fmt.Errorf("ctrlplane: rehash server %d: %w", i, err)
 		}
 	}
 	for _, m := range c.members {

@@ -10,6 +10,7 @@ import (
 	"netlock"
 	"netlock/internal/core"
 	"netlock/internal/lockserver"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
 	"netlock/internal/wire"
@@ -38,7 +39,16 @@ func asyncAcquire(t *testing.T, c *transport.Client, lockID uint32) chan *transp
 	return ch
 }
 
-// waitQueueDepth polls until cond returns true or the deadline passes.
+// ownedBy reports whether any of servers owns lockID.
+func ownedBy(servers []*transport.Server, lockID uint32) bool {
+	owned := false
+	for _, srv := range servers {
+		srv.WithLockServer(func(ls *lockserver.Server) { owned = owned || ls.CtrlOwns(lockID) })
+	}
+	return owned
+}
+
+// waitFor polls until cond returns true or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -160,7 +170,9 @@ func TestDrainServerLive(t *testing.T) {
 	if got := ctrl.ServerIndexFor(lockID); got != 1 {
 		t.Fatalf("lock %d routed to server %d after drain, want 1", lockID, got)
 	}
-	if owned := home.OwnedLocks(); len(owned) != 0 {
+	var owned []uint32
+	home.WithLockServer(func(ls *lockserver.Server) { owned = ls.CtrlOwnedLocks() })
+	if len(owned) != 0 {
 		t.Fatalf("victim still owns %v after drain", owned)
 	}
 	if err := ctrl.DrainServer(1, 0); err == nil {
@@ -246,10 +258,12 @@ func dpLayout(dp *switchdp.Switch) map[uint32][]switchdp.Region {
 
 // TestPlacementMatchesAcrossPlanes runs one preinstall / promote / demote
 // sequence on a 2-bank embedded core.Manager and on a 1-member, 2-bank
-// rack. Both planes place through the same layout, so after every step
-// they must report the same Placement and their data planes must hold the
-// same regions — including the odd split (remainder to bank 0) and a
-// promotion widened to a live queue deeper than its share.
+// rack. Both planes place through the same layout and move through the
+// same export → rebase → import, so after every step they must report the
+// same Placement, their data planes must hold the same regions — including
+// the odd split (remainder to bank 0) and a promotion widened to a live
+// queue deeper than its share — and every move must carry the same
+// holders and waiters.
 func TestPlacementMatchesAcrossPlanes(t *testing.T) {
 	dp := switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2}
 	emb := core.New(core.Config{Switch: dp, Servers: 1})
@@ -266,32 +280,49 @@ func TestPlacementMatchesAcrossPlanes(t *testing.T) {
 	queue(emb.Server(0))
 	tp.Servers()[0].WithLockServer(queue)
 
+	type step func() (rebalance.Report, error)
+	install := func(err error) (rebalance.Report, error) { return rebalance.Report{}, err }
 	steps := []struct {
 		name     string
-		emb, udp func() error
+		emb, udp step
+		carried  int // holders + waiters the move carries
 	}{
 		{"preinstall 1 x16",
-			func() error { _, err := emb.PreinstallLock(1, 16); return err },
-			func() error { return ctrl.InstallLock(1, 16) }},
+			func() (rebalance.Report, error) { _, err := emb.PreinstallLock(1, 16); return install(err) },
+			func() (rebalance.Report, error) { return install(ctrl.InstallLock(1, 16)) }, 0},
 		{"preinstall 2 x3",
-			func() error { _, err := emb.PreinstallLock(2, 3); return err },
-			func() error { return ctrl.InstallLock(2, 3) }},
+			func() (rebalance.Report, error) { _, err := emb.PreinstallLock(2, 3); return install(err) },
+			func() (rebalance.Report, error) { return install(ctrl.InstallLock(2, 3)) }, 0},
 		{"promote 7 x2 over a 3-deep queue",
-			func() error { _, err := emb.MoveToSwitch(7, 2); return err },
-			func() error { _, err := ctrl.MoveToSwitch(7, 2); return err }},
+			func() (rebalance.Report, error) { return emb.MoveToSwitch(7, 2) },
+			func() (rebalance.Report, error) { return ctrl.MoveToSwitch(7, 2) }, 3},
+		{"demote 7 with its queue",
+			func() (rebalance.Report, error) { r, _, err := emb.MoveToServer(7); return r, err },
+			func() (rebalance.Report, error) { return ctrl.MoveToServer(7) }, 3},
+		{"re-promote 7 x2",
+			func() (rebalance.Report, error) { return emb.MoveToSwitch(7, 2) },
+			func() (rebalance.Report, error) { return ctrl.MoveToSwitch(7, 2) }, 3},
 		{"demote 1",
-			func() error { _, _, err := emb.MoveToServer(1); return err },
-			func() error { _, err := ctrl.MoveToServer(1); return err }},
+			func() (rebalance.Report, error) { r, _, err := emb.MoveToServer(1); return r, err },
+			func() (rebalance.Report, error) { return ctrl.MoveToServer(1) }, 0},
 		{"promote cold 9 x20",
-			func() error { _, err := emb.MoveToSwitch(9, 20); return err },
-			func() error { _, err := ctrl.MoveToSwitch(9, 20); return err }},
+			func() (rebalance.Report, error) { return emb.MoveToSwitch(9, 20) },
+			func() (rebalance.Report, error) { return ctrl.MoveToSwitch(9, 20) }, 0},
 	}
 	for _, s := range steps {
-		if err := s.emb(); err != nil {
+		er, err := s.emb()
+		if err != nil {
 			t.Fatalf("%s: embedded: %v", s.name, err)
 		}
-		if err := s.udp(); err != nil {
+		ur, err := s.udp()
+		if err != nil {
 			t.Fatalf("%s: udp: %v", s.name, err)
+		}
+		if !reflect.DeepEqual(er, ur) {
+			t.Fatalf("%s: move report embedded %+v, udp %+v", s.name, er, ur)
+		}
+		if n := len(er.Granted) + len(er.Waiting); n != s.carried {
+			t.Fatalf("%s: move carried %d entries, want %d: %+v", s.name, n, s.carried, er)
 		}
 		if e, u := emb.Placement(), ctrl.Placement(); !reflect.DeepEqual(e, u) {
 			t.Fatalf("%s: placement embedded %v, udp %v", s.name, e, u)

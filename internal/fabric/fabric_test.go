@@ -7,6 +7,7 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
+	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
 	"netlock/internal/wire"
@@ -165,10 +166,10 @@ func TestRehomeLiveState(t *testing.T) {
 
 	// No lock state may remain at the source.
 	for _, srv := range f.Rack(0).Servers() {
-		for _, id := range srv.OwnedLocks() {
-			if id == lock {
-				t.Fatal("rack 0 still owns the re-homed lock")
-			}
+		var owns bool
+		srv.WithLockServer(func(ls *lockserver.Server) { owns = ls.CtrlOwns(lock) })
+		if owns {
+			t.Fatal("rack 0 still owns the re-homed lock")
 		}
 	}
 }

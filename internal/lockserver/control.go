@@ -2,6 +2,7 @@ package lockserver
 
 import (
 	"fmt"
+	"sort"
 
 	"netlock/internal/obs"
 	"netlock/internal/wire"
@@ -45,7 +46,9 @@ func (s *Server) CtrlMeasure() []LockLoad {
 	return out
 }
 
-// CtrlOwnedLocks returns the IDs of locks this server currently processes.
+// CtrlOwnedLocks returns the IDs of locks this server currently
+// processes, ascending, so a drain or failover that walks them emits in
+// the same order every run.
 func (s *Server) CtrlOwnedLocks() []uint32 {
 	var out []uint32
 	for id, lo := range s.locks {
@@ -53,6 +56,7 @@ func (s *Server) CtrlOwnedLocks() []uint32 {
 			out = append(out, id)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

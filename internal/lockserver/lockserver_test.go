@@ -2,6 +2,7 @@ package lockserver
 
 import (
 	"net/netip"
+	"sort"
 	"testing"
 
 	"netlock/internal/wire"
@@ -264,6 +265,15 @@ func TestCtrlReleaseOwnershipRequiresDrain(t *testing.T) {
 	}
 	if owned := s.CtrlOwnedLocks(); len(owned) != 0 {
 		t.Fatalf("owned locks = %v", owned)
+	}
+	// The owned list is ascending whatever the map order: drains and
+	// failovers walk it and emit in its order.
+	for id := uint32(40); id >= 2; id-- {
+		do(t, s, req(wire.OpAcquire, id, 1, wire.Exclusive))
+	}
+	owned := s.CtrlOwnedLocks()
+	if len(owned) != 39 || !sort.SliceIsSorted(owned, func(i, j int) bool { return owned[i] < owned[j] }) {
+		t.Fatalf("owned locks = %v, want 2..40 ascending", owned)
 	}
 }
 

@@ -15,60 +15,33 @@ import (
 // exists (replaying a waiter behind a since-released holder would grant it
 // out of turn).
 
-// ExportEntry is one migrated request: the original acquire header, the
-// absolute lease expiry on the exporter's clock, and whether the request
-// holds the lock.
-type ExportEntry struct {
-	Hdr     wire.Header
-	LeaseNs int64
-	Granted bool
-}
-
-// LockExport is the complete migratable state of one server-owned lock:
-// per-priority queues in FIFO order, granted prefix first, plus the
-// exporter's clock for lease rebasing.
-type LockExport struct {
-	LockID uint32
-	BaseNs int64
-	Banks  [][]ExportEntry
-}
-
-// Entries returns the total number of exported requests.
-func (e *LockExport) Entries() int {
-	n := 0
-	for _, b := range e.Banks {
-		n += len(b)
-	}
-	return n
-}
-
 // CtrlExportLock atomically snapshots an owned lock's queues and releases
 // ownership. Any q2-buffered requests (left by an aborted drain-based move)
 // are appended to their bank as waiters, so nothing is lost. After the
 // call, requests for the lock are forwarded back to the switch; the caller
 // must install the export at the destination promptly (in-flight requests
-// ping-pong between switch and server until the new owner is live).
-func (s *Server) CtrlExportLock(lockID uint32) (LockExport, error) {
+// ping-pong between switch and server until the new owner is live). Leases
+// are absolute against the server clock the state is stamped with.
+func (s *Server) CtrlExportLock(lockID uint32) (wire.LockState, error) {
+	st := wire.LockState{LockID: lockID, BaseNs: s.cfg.Now(), Banks: make([][]wire.LockEntry, s.cfg.Priorities)}
 	lo, ok := s.locks[lockID]
 	if !ok {
 		// Never-contacted locks are implicitly owned by their home server
 		// (first contact adopts them): export empty queues.
-		return LockExport{LockID: lockID, BaseNs: s.cfg.Now(),
-			Banks: make([][]ExportEntry, s.cfg.Priorities)}, nil
+		return st, nil
 	}
 	if !lo.owned {
-		return LockExport{}, fmt.Errorf("lockserver: lock %d not owned by this server", lockID)
+		return wire.LockState{}, fmt.Errorf("lockserver: lock %d not owned by this server", lockID)
 	}
-	ex := LockExport{LockID: lockID, BaseNs: s.cfg.Now(), Banks: make([][]ExportEntry, s.cfg.Priorities)}
 	for b := range lo.queues {
-		bank := make([]ExportEntry, 0, len(lo.queues[b])+len(lo.q2[b]))
+		bank := make([]wire.LockEntry, 0, len(lo.queues[b])+len(lo.q2[b]))
 		for _, e := range lo.queues[b] {
-			bank = append(bank, ExportEntry{Hdr: e.hdr, LeaseNs: e.lease, Granted: e.granted})
+			bank = append(bank, wire.LockEntry{Hdr: e.hdr, LeaseNs: e.lease, Granted: e.granted})
 		}
 		for _, e := range lo.q2[b] {
-			bank = append(bank, ExportEntry{Hdr: e.hdr, Granted: false})
+			bank = append(bank, wire.LockEntry{Hdr: e.hdr})
 		}
-		ex.Banks[b] = bank
+		st.Banks[b] = bank
 		lo.queues[b] = nil
 		lo.q2[b] = nil
 		lo.buffering[b] = false
@@ -80,27 +53,26 @@ func (s *Server) CtrlExportLock(lockID uint32) (LockExport, error) {
 	lo.held = 0
 	lo.heldX = false
 	lo.current = 0
-	return ex, nil
+	return st, nil
 }
 
 // CtrlImportLock makes a lock server-owned with pre-existing queue state:
 // entries are installed literally per bank (granted flags preserved,
 // counters reconstructed), then any q2-buffered requests that accumulated
 // while the lock was switch-resident are replayed as normal acquires in
-// arrival order (deduplicated against the imported entries). Lease
-// expiries in banks must already be rebased to this server's clock. The
-// returned emits (grants produced by the q2 replay) must be delivered by
-// the caller.
-func (s *Server) CtrlImportLock(lockID uint32, banks [][]ExportEntry) ([]Emit, error) {
-	if len(banks) > s.cfg.Priorities {
-		return nil, fmt.Errorf("lockserver: import of %d banks into %d priorities", len(banks), s.cfg.Priorities)
+// arrival order (deduplicated against the imported entries). Leases must
+// already be rebased onto this server's clock (see CtrlNow). The returned
+// emits (grants produced by the q2 replay) must be delivered by the caller.
+func (s *Server) CtrlImportLock(st wire.LockState) ([]Emit, error) {
+	if len(st.Banks) > s.cfg.Priorities {
+		return nil, fmt.Errorf("lockserver: import of %d banks into %d priorities", len(st.Banks), s.cfg.Priorities)
 	}
 	s.emits = s.emits[:0]
-	lo := s.lock(lockID)
+	lo := s.lock(st.LockID)
 	if lo.owned {
 		for b := range lo.queues {
 			if len(lo.queues[b]) != 0 {
-				return nil, fmt.Errorf("lockserver: lock %d already owned with queued state", lockID)
+				return nil, fmt.Errorf("lockserver: lock %d already owned with queued state", st.LockID)
 			}
 		}
 	}
@@ -114,7 +86,7 @@ func (s *Server) CtrlImportLock(lockID uint32, banks [][]ExportEntry) ([]Emit, e
 		lo.excl[b] = 0
 		lo.wait[b] = 0
 	}
-	for b, bank := range banks {
+	for b, bank := range st.Banks {
 		for _, e := range bank {
 			ent := entry{hdr: e.Hdr, lease: e.LeaseNs, granted: e.Granted}
 			lo.queues[b] = append(lo.queues[b], ent)
@@ -220,8 +192,8 @@ func (s *Server) CtrlPrepareImport(lockID uint32) {
 	}
 }
 
-// CtrlNow returns the server's data-plane clock, for lease rebasing when
-// state migrates between nodes with independent clocks.
+// CtrlNow returns the server's data-plane clock, the rebase target for
+// state imported here.
 func (s *Server) CtrlNow() int64 { return s.cfg.Now() }
 
 // CtrlOwns reports whether the server currently owns the lock.

@@ -20,14 +20,14 @@ func TestServerExportImportPreservesQueueState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if ex.Entries() != 4 {
-		t.Fatalf("exported %d entries, want 4", ex.Entries())
+	if n := len(ex.Banks[0]); n != 4 {
+		t.Fatalf("exported %d entries, want 4", n)
 	}
 	// The exporter no longer owns the lock: requests bounce to the switch.
 	wantActions(t, do(t, src, req(wire.OpAcquire, 1, 5, wire.Shared)), ActPush)
 
 	dst := newServer()
-	emits, err := dst.CtrlImportLock(1, ex.Banks)
+	emits, err := dst.CtrlImportLock(ex)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestImportThenDuplicateAcquire(t *testing.T) {
 		t.Fatalf("export: %v", err)
 	}
 	dst := newServer()
-	if _, err := dst.CtrlImportLock(1, ex.Banks); err != nil {
+	if _, err := dst.CtrlImportLock(ex); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	wantActions(t, do(t, dst, req(wire.OpAcquire, 1, 1, wire.Exclusive)), ActGrant) // granted dup re-grants
@@ -106,7 +106,7 @@ func TestImportReplaysBufferedOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	emits, err := dst.CtrlImportLock(1, ex.Banks)
+	emits, err := dst.CtrlImportLock(ex)
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}

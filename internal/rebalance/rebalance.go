@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"netlock/internal/memalloc"
+	"netlock/internal/wire"
 )
 
 // Report describes one completed move in the shape the scenario oracle
@@ -30,6 +31,22 @@ type Report struct {
 	ToSwitch bool
 	Granted  []uint64
 	Waiting  []uint64
+}
+
+// NewReport reports a move of st across the residency boundary: its
+// holders and waiters by transaction, bank by bank in queue order.
+func NewReport(st wire.LockState, toSwitch bool) Report {
+	rep := Report{LockID: st.LockID, ToSwitch: toSwitch}
+	for _, bank := range st.Banks {
+		for _, e := range bank {
+			if e.Granted {
+				rep.Granted = append(rep.Granted, e.Hdr.TxnID)
+			} else {
+				rep.Waiting = append(rep.Waiting, e.Hdr.TxnID)
+			}
+		}
+	}
+	return rep
 }
 
 // Mover is the placement-control surface the loop drives. Both rack

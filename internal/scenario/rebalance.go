@@ -81,16 +81,8 @@ type moveOracle struct {
 	// reports keeps every successful move for post-mortem dumps: when the
 	// trace checker flags a lock, its move history is the first thing a
 	// debugger needs.
-	reports []moveRec
+	reports []rebalance.Report
 	viol    error
-}
-
-// moveRec is one retained move report.
-type moveRec struct {
-	lock     uint32
-	toSwitch bool
-	granted  []uint64
-	waiting  []uint64
 }
 
 // waitOrder is the (lock, mode) FIFO queue a move carried across the
@@ -101,7 +93,8 @@ type waitOrder struct {
 	waiting []uint64
 }
 
-func (o *moveOracle) record(lockID uint32, toSwitch bool, granted, waiting []uint64, err error) {
+// record validates one move report; both planes' rebalance loops call it.
+func (o *moveOracle) record(r rebalance.Report, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if err != nil {
@@ -110,32 +103,27 @@ func (o *moveOracle) record(lockID uint32, toSwitch bool, granted, waiting []uin
 		o.failures++
 		return
 	}
-	seen := make(map[uint64]bool, len(granted)+len(waiting))
-	for _, txn := range granted {
+	seen := make(map[uint64]bool, len(r.Granted)+len(r.Waiting))
+	for _, txn := range r.Granted {
 		if seen[txn] && o.viol == nil {
-			o.viol = fmt.Errorf("move of lock %d carried granted txn %d twice", lockID, txn)
+			o.viol = fmt.Errorf("move of lock %d carried granted txn %d twice", r.LockID, txn)
 		}
 		seen[txn] = true
 	}
-	for _, txn := range waiting {
+	for _, txn := range r.Waiting {
 		if seen[txn] && o.viol == nil {
-			o.viol = fmt.Errorf("move of lock %d carried txn %d twice", lockID, txn)
+			o.viol = fmt.Errorf("move of lock %d carried txn %d twice", r.LockID, txn)
 		}
 		seen[txn] = true
 	}
-	if toSwitch {
+	if r.ToSwitch {
 		o.promotes++
 	} else {
 		o.demotes++
 	}
-	o.reports = append(o.reports, moveRec{
-		lock:     lockID,
-		toSwitch: toSwitch,
-		granted:  append([]uint64(nil), granted...),
-		waiting:  append([]uint64(nil), waiting...),
-	})
-	if len(waiting) > 0 {
-		o.waitOrders = append(o.waitOrders, waitOrder{lockID, append([]uint64(nil), waiting...)})
+	o.reports = append(o.reports, r)
+	if len(r.Waiting) > 0 {
+		o.waitOrders = append(o.waitOrders, waitOrder{r.LockID, r.Waiting})
 	}
 }
 
@@ -146,14 +134,14 @@ func (o *moveOracle) lockHistory(lock uint32) string {
 	defer o.mu.Unlock()
 	out := ""
 	for _, r := range o.reports {
-		if r.lock != lock {
+		if r.LockID != lock {
 			continue
 		}
 		dir := "demote"
-		if r.toSwitch {
+		if r.ToSwitch {
 			dir = "promote"
 		}
-		out += fmt.Sprintf(" [%s granted=%d waiting=%d]", dir, r.granted, r.waiting)
+		out += fmt.Sprintf(" [%s granted=%d waiting=%d]", dir, r.Granted, r.Waiting)
 	}
 	if out == "" {
 		return " (no moves)"
@@ -273,9 +261,7 @@ func runRebalance(cfg Config) (*Summary, error) {
 			MaxSwitchLocks:    16,
 			RebalanceInterval: 2 * time.Millisecond,
 			RebalanceBudget:   2,
-			OnRebalanceMove: func(mv netlock.RebalanceMove) {
-				oracle.record(mv.LockID, mv.ToSwitch, mv.Granted, mv.Waiting, mv.Err)
-			},
+			OnRebalanceMove:   oracle.record,
 		},
 		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 64, Priorities: 1},
 		Servers: 2,
@@ -301,9 +287,7 @@ func runRebalance(cfg Config) (*Summary, error) {
 		loop := rebalance.New(ctrl, rebalance.Config{
 			Interval: 3 * time.Millisecond,
 			Budget:   2,
-			OnMove: func(r rebalance.Report, err error) {
-				oracle.record(r.LockID, r.ToSwitch, r.Granted, r.Waiting, err)
-			},
+			OnMove:   oracle.record,
 		})
 		loop.Start()
 		drain = func() error { return ctrl.DrainServer(0, 1) }

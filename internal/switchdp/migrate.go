@@ -17,50 +17,30 @@ import (
 // literally, granted bits included, and the counters are reconstructed
 // from it (see sharedqueue.CtrlLoadQueue).
 
-// LockExport is the complete migratable state of one resident lock: the
-// per-bank region bounds and the occupied slots of every bank in FIFO
-// order, granted prefix first.
-type LockExport struct {
-	LockID  uint32
-	Regions []Region
-	// Slots holds each bank's occupied slots head-first. Slot.Granted
-	// distinguishes holders from waiters; Slot.LeaseNs is an absolute
-	// expiry on the exporter's clock and must be rebased by the importer.
-	Slots [][]sharedqueue.Slot
-}
-
-// Entries returns the total number of occupied slots across banks.
-func (e *LockExport) Entries() int {
-	n := 0
-	for _, s := range e.Slots {
-		n += len(s)
-	}
-	return n
-}
-
 // CtrlExportLock snapshots a resident lock's queue state and evicts the
 // lock from the switch in one control-plane step. Unlike CtrlRemoveLock it
 // does not require the queues to be drained — the occupied slots ARE the
-// export. After it returns, requests for the lock take the not-resident
-// path (forwarded to the lock server), so the caller must deliver the
-// export to the server before or while those forwards arrive; the server's
-// queue-merge dedups the overlap.
-func (sw *Switch) CtrlExportLock(lockID uint32) (LockExport, error) {
+// export, each bank head-first, with leases absolute against the switch
+// clock the state is stamped with. After it returns, requests for the
+// lock take the not-resident path (forwarded to the lock server), so the
+// caller must deliver the export to the server before or while those
+// forwards arrive; the server's queue-merge dedups the overlap.
+func (sw *Switch) CtrlExportLock(lockID uint32) (wire.LockState, error) {
 	qiRaw, ok := sw.lockTable.Lookup(lockID)
 	if !ok {
-		return LockExport{}, fmt.Errorf("switchdp: lock %d not installed", lockID)
+		return wire.LockState{}, fmt.Errorf("switchdp: lock %d not installed", lockID)
 	}
 	qi := int(qiRaw)
-	ex := LockExport{LockID: lockID}
+	st := wire.LockState{LockID: lockID, BaseNs: sw.cfg.Now(), Banks: make([][]wire.LockEntry, len(sw.banks))}
 	for b := range sw.banks {
-		st := sw.banks[b].CtrlState(qi)
-		ex.Regions = append(ex.Regions, Region{Left: st.Left, Right: st.Right})
-		ex.Slots = append(ex.Slots, sw.banks[b].CtrlQueueSlots(qi))
+		for _, s := range sw.banks[b].CtrlQueueSlots(qi) {
+			st.Banks[b] = append(st.Banks[b], entryFromSlot(lockID, b, s))
+		}
 	}
 	// Evict: clear every per-lock register so the table entry is clean for
 	// the next install, then free the index.
 	if err := sw.lockTable.CtrlDel(lockID); err != nil {
-		return LockExport{}, err
+		return wire.LockState{}, err
 	}
 	for b := range sw.banks {
 		sw.banks[b].CtrlSetRegion(qi, 0, 0)
@@ -71,8 +51,12 @@ func (sw *Switch) CtrlExportLock(lockID uint32) (LockExport, error) {
 	sw.reqCounter.CtrlClear(qi)
 	sw.lockIDs[qi] = 0
 	sw.freeIdx = append(sw.freeIdx, qi)
-	return ex, nil
+	return st, nil
 }
+
+// CtrlNow returns the switch's data-plane clock, the rebase target for
+// state imported here.
+func (sw *Switch) CtrlNow() int64 { return sw.cfg.Now() }
 
 // CtrlHasTxn reports whether a resident lock's queues already hold an
 // entry for txnID, in any bank, granted or waiting. The chain uses it to
@@ -101,27 +85,26 @@ func (sw *Switch) CtrlHasTxn(lockID uint32, txnID uint64) bool {
 	return false
 }
 
-// SlotFromEntry converts a migrated acquire-shaped header into the switch's
-// queue-slot representation for import into a bank. Note the slot carries no
-// client port: grants for migrated entries route through the transport's
-// pending table, which is keyed by (lock, txn) and survives the move.
-func SlotFromEntry(h wire.Header, lease int64, granted bool, bank int) sharedqueue.Slot {
+// slotFromEntry converts a migrated request into the switch's queue-slot
+// representation for import into a bank. Note the slot carries no client
+// port: grants for migrated entries route through the transport's pending
+// table, which is keyed by (lock, txn) and survives the move.
+func slotFromEntry(e *wire.LockEntry, bank int) sharedqueue.Slot {
 	return sharedqueue.Slot{
-		Exclusive: h.Mode == wire.Exclusive,
-		OneRTT:    h.Flags&wire.FlagOneRTT != 0,
-		Granted:   granted,
-		Tenant:    h.TenantID,
+		Exclusive: e.Hdr.Mode == wire.Exclusive,
+		OneRTT:    e.Hdr.Flags&wire.FlagOneRTT != 0,
+		Granted:   e.Granted,
+		Tenant:    e.Hdr.TenantID,
 		Priority:  uint8(bank),
-		ClientIP:  u32FromIP(&h),
-		TxnID:     h.TxnID,
-		LeaseNs:   lease,
+		ClientIP:  u32FromIP(&e.Hdr),
+		TxnID:     e.Hdr.TxnID,
+		LeaseNs:   e.LeaseNs,
 	}
 }
 
-// EntryFromSlot converts a switch queue slot back into the acquire-shaped
-// header plus lease and granted flag used by server-side import and the
-// migrate wire records.
-func EntryFromSlot(lockID uint32, bank int, s sharedqueue.Slot) (wire.Header, int64, bool) {
+// entryFromSlot converts a switch queue slot back into the acquire-shaped
+// request it was enqueued from.
+func entryFromSlot(lockID uint32, bank int, s sharedqueue.Slot) wire.LockEntry {
 	h := wire.Header{
 		Op:       wire.OpAcquire,
 		Mode:     wire.Shared,
@@ -137,41 +120,44 @@ func EntryFromSlot(lockID uint32, bank int, s sharedqueue.Slot) (wire.Header, in
 	if s.OneRTT {
 		h.Flags = wire.FlagOneRTT
 	}
-	return h, s.LeaseNs, s.Granted
+	return wire.LockEntry{Hdr: h, LeaseNs: s.LeaseNs, Granted: s.Granted}
 }
 
 // CtrlImportLock makes a lock switch-resident with pre-existing queue
-// state: regions are assigned per bank and slots installed literally
+// state: regions are assigned per bank and entries installed literally
 // (granted bits, modes, leases), with occupancy/exclusive/waiting/hold
-// counters reconstructed. slots[b] must fit regions[b]; lease expiries
-// must already be rebased to this switch's clock by the caller.
-func (sw *Switch) CtrlImportLock(lockID uint32, regions []Region, slots [][]sharedqueue.Slot) error {
-	if len(slots) != len(sw.banks) {
-		return fmt.Errorf("switchdp: got %d slot banks for %d priority banks", len(slots), len(sw.banks))
+// counters reconstructed. st.Banks[b] must fit regions[b]; leases must
+// already be rebased onto this switch's clock (see CtrlNow).
+func (sw *Switch) CtrlImportLock(regions []Region, st wire.LockState) error {
+	if len(st.Banks) > len(sw.banks) {
+		return fmt.Errorf("switchdp: got %d banks for %d priority banks", len(st.Banks), len(sw.banks))
 	}
 	for b, r := range regions {
-		if uint64(len(slots[b])) > r.Size() {
+		if b < len(st.Banks) && uint64(len(st.Banks[b])) > r.Size() {
 			return fmt.Errorf("switchdp: bank %d: %d entries exceed region [%d,%d)",
-				b, len(slots[b]), r.Left, r.Right)
+				b, len(st.Banks[b]), r.Left, r.Right)
 		}
 	}
-	if err := sw.CtrlInstallLock(lockID, regions); err != nil {
+	if err := sw.CtrlInstallLock(st.LockID, regions); err != nil {
 		return err
 	}
-	qiRaw, _ := sw.lockTable.Lookup(lockID)
+	qiRaw, _ := sw.lockTable.Lookup(st.LockID)
 	qi := int(qiRaw)
 	var held uint64
 	var heldExcl bool
 	for b := range sw.banks {
-		sw.banks[b].CtrlLoadQueue(qi, regions[b].Left, regions[b].Right, slots[b])
-		for _, s := range slots[b] {
-			if s.Granted {
+		var slots []sharedqueue.Slot
+		if b < len(st.Banks) {
+			slots = make([]sharedqueue.Slot, len(st.Banks[b]))
+		}
+		for i := range slots {
+			slots[i] = slotFromEntry(&st.Banks[b][i], b)
+			if slots[i].Granted {
 				held++
-				if s.Exclusive {
-					heldExcl = true
-				}
+				heldExcl = heldExcl || slots[i].Exclusive
 			}
 		}
+		sw.banks[b].CtrlLoadQueue(qi, regions[b].Left, regions[b].Right, slots)
 	}
 	hold := held
 	if heldExcl {

@@ -34,12 +34,12 @@ func TestExportImportPreservesQueueState(t *testing.T) {
 	if src.CtrlHasLock(1) {
 		t.Fatalf("lock still resident after export")
 	}
-	if got := ex.Entries(); got != 5 {
-		t.Fatalf("exported %d entries, want 5", got)
+	if n0, n1 := len(ex.Banks[0]), len(ex.Banks[1]); n0 != 2 || n1 != 3 {
+		t.Fatalf("exported %d+%d entries, want 2+3", n0, n1)
 	}
 	// Granted entries form a prefix; exactly one granted (the exclusive).
 	granted := 0
-	for _, bank := range ex.Slots {
+	for _, bank := range ex.Banks {
 		prefix := true
 		for _, s := range bank {
 			if s.Granted {
@@ -60,7 +60,7 @@ func TestExportImportPreservesQueueState(t *testing.T) {
 	wantActions(t, do(t, src, req(wire.OpAcquire, 1, 106, wire.Shared)), ActForward)
 
 	dst := New(Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2})
-	if err := dst.CtrlImportLock(1, ex.Regions, ex.Slots); err != nil {
+	if err := dst.CtrlImportLock([]Region{{Left: 0, Right: 8}, {Left: 0, Right: 8}}, ex); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	st, err := dst.CtrlLockState(1)
@@ -114,7 +114,7 @@ func TestImportRejectsOversizedState(t *testing.T) {
 	}
 	dst := New(Config{MaxLocks: 8, TotalSlots: 64, Priorities: 1})
 	small := []Region{{Left: 0, Right: 2}}
-	if err := dst.CtrlImportLock(1, small, ex.Slots); err == nil {
+	if err := dst.CtrlImportLock(small, ex); err == nil {
 		t.Fatalf("import of 5 entries into 2 slots accepted")
 	}
 	if dst.CtrlHasLock(1) {
@@ -133,12 +133,12 @@ func TestExportIdleLockAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if ex.Entries() != 0 {
-		t.Fatalf("drained lock exported %d entries", ex.Entries())
+	if n := len(ex.Banks[0]); n != 0 {
+		t.Fatalf("drained lock exported %d entries", n)
 	}
 	// The freed entry is reusable immediately.
 	installed(t, sw, 2, 4)
-	if err := sw.CtrlImportLock(1, ex.Regions, ex.Slots); err != nil {
+	if err := sw.CtrlImportLock([]Region{{Left: 0, Right: 4}}, ex); err != nil {
 		t.Fatalf("re-import: %v", err)
 	}
 	wantActions(t, do(t, sw, req(wire.OpAcquire, 1, 9, wire.Shared)), ActGrant)

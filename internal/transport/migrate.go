@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"netlock/internal/lockserver"
-	"netlock/internal/sharedqueue"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -36,7 +34,7 @@ import (
 // migStaging accumulates one promote's records between begin and commit.
 type migStaging struct {
 	regions []switchdp.Region
-	slots   [][]sharedqueue.Slot
+	state   wire.LockState
 	count   int
 }
 
@@ -54,16 +52,16 @@ func (s *Switch) applyMigrate(h *wire.Header) {
 	}
 	switch rec.Kind {
 	case wire.MigDemote:
-		ex, err := s.dp.CtrlExportLock(rec.LockID)
+		st, err := s.dp.CtrlExportLock(rec.LockID)
 		s.migErr = err
 		if err == nil {
-			s.migDemoted = &ex
+			s.migDemoted = &st
 		}
 	case wire.MigBegin:
 		banks := s.dp.Banks()
 		s.migStage[rec.LockID] = &migStaging{
 			regions: make([]switchdp.Region, banks),
-			slots:   make([][]sharedqueue.Slot, banks),
+			state:   wire.LockState{LockID: rec.LockID, BaseNs: rec.BaseNs, Banks: make([][]wire.LockEntry, banks)},
 		}
 	case wire.MigRegion:
 		st := s.migStage[rec.LockID]
@@ -78,11 +76,8 @@ func (s *Switch) applyMigrate(h *wire.Header) {
 			s.migErr = fmt.Errorf("transport: stray migrate entry for lock %d", rec.Entry.LockID)
 			return
 		}
-		b := int(rec.Entry.Priority)
-		if b >= len(st.slots) {
-			b = len(st.slots) - 1
-		}
-		st.slots[b] = append(st.slots[b], switchdp.SlotFromEntry(rec.Entry, rec.Entry.LeaseNs, rec.Granted, b))
+		b := min(int(rec.Entry.Priority), len(st.state.Banks)-1)
+		st.state.Banks[b] = append(st.state.Banks[b], wire.LockEntry{Hdr: rec.Entry, LeaseNs: rec.Entry.LeaseNs, Granted: rec.Granted})
 		st.count++
 	case wire.MigCommit:
 		st := s.migStage[rec.LockID]
@@ -95,7 +90,7 @@ func (s *Switch) applyMigrate(h *wire.Header) {
 			s.migErr = fmt.Errorf("transport: migrate commit count %d, staged %d", rec.Count, st.count)
 			return
 		}
-		if err := s.dp.CtrlImportLock(rec.LockID, st.regions, st.slots); err != nil {
+		if err := s.dp.CtrlImportLock(st.regions, st.state); err != nil {
 			// The head validated capacity before sequencing, so a failure
 			// here means replicas disagree about data-plane state — the one
 			// condition the chain cannot survive silently.
@@ -152,18 +147,18 @@ func (s *Switch) waitChainCommitted(seq uint64) bool {
 
 // MigrateDemoteLock live-demotes a resident lock off the chain: a MigDemote
 // record is sequenced, every member exports and evicts the lock at the same
-// stream position, and the head's export is returned along with the head's
-// clock (for lease rebasing at the destination server). Blocks until the
-// record is tail-acked (see waitChainCommitted). Head only.
-func (s *Switch) MigrateDemoteLock(lockID uint32) (switchdp.LockExport, int64, error) {
+// stream position, and the head's export — stamped with the head's clock —
+// is returned. Blocks until the record is tail-acked (see
+// waitChainCommitted). Head only.
+func (s *Switch) MigrateDemoteLock(lockID uint32) (wire.LockState, error) {
 	s.mu.Lock()
 	if !s.chain.head {
 		s.mu.Unlock()
-		return switchdp.LockExport{}, 0, fmt.Errorf("transport: demote on a non-head member")
+		return wire.LockState{}, fmt.Errorf("transport: demote on a non-head member")
 	}
 	if !s.dp.CtrlHasLock(lockID) {
 		s.mu.Unlock()
-		return switchdp.LockExport{}, 0, fmt.Errorf("transport: lock %d not switch-resident", lockID)
+		return wire.LockState{}, fmt.Errorf("transport: lock %d not switch-resident", lockID)
 	}
 	h := wire.MigrateDemote(lockID)
 	s.migDemoted, s.migErr = nil, nil
@@ -172,28 +167,27 @@ func (s *Switch) MigrateDemoteLock(lockID uint32) (switchdp.LockExport, int64, e
 	if s.migErr != nil || s.migDemoted == nil {
 		err := fmt.Errorf("transport: demote lock %d: %v", lockID, s.migErr)
 		s.mu.Unlock()
-		return switchdp.LockExport{}, 0, err
+		return wire.LockState{}, err
 	}
-	ex := *s.migDemoted
+	st := *s.migDemoted
 	s.migDemoted = nil
-	nowNs := s.now()
 	commitSeq := s.chain.seq
 	s.mu.Unlock()
 	s.waitChainCommitted(commitSeq)
-	return ex, nowNs, nil
+	return st, nil
 }
 
 // MigratePromoteLock live-promotes a server-exported lock into the chain:
 // the full state — regions per bank, then every queue entry with its
 // granted bit — is sequenced as one uninterrupted run of migrate records,
-// and every member installs it at the MigCommit. Entry leases must already
-// be rebased to this head's clock (see NowNs). Blocks until the records
-// are tail-acked (see waitChainCommitted); errors are only returned from
+// and every member installs it at the MigCommit. Leases must already be
+// rebased onto this head's clock (see NowNs). Blocks until the records are
+// tail-acked (see waitChainCommitted); errors are only returned from
 // validation before anything is sequenced, so a non-nil error always means
 // no member changed state and the caller may roll back. Head only.
-func (s *Switch) MigratePromoteLock(lockID uint32, regions []switchdp.Region, banks [][]lockserver.ExportEntry) error {
+func (s *Switch) MigratePromoteLock(regions []switchdp.Region, st wire.LockState) error {
 	s.mu.Lock()
-	commitSeq, err := s.migratePromoteLocked(lockID, regions, banks)
+	commitSeq, err := s.migratePromoteLocked(regions, st)
 	s.mu.Unlock()
 	if err != nil {
 		return err
@@ -202,7 +196,8 @@ func (s *Switch) MigratePromoteLock(lockID uint32, regions []switchdp.Region, ba
 	return nil
 }
 
-func (s *Switch) migratePromoteLocked(lockID uint32, regions []switchdp.Region, banks [][]lockserver.ExportEntry) (uint64, error) {
+func (s *Switch) migratePromoteLocked(regions []switchdp.Region, st wire.LockState) (uint64, error) {
+	lockID, banks := st.LockID, st.Banks
 	if !s.chain.head {
 		return 0, fmt.Errorf("transport: promote on a non-head member")
 	}
@@ -233,7 +228,7 @@ func (s *Switch) migratePromoteLocked(lockID uint32, regions []switchdp.Region, 
 	seq := func(h wire.Header) {
 		s.sequence(wire.OriginCtrl, &h)
 	}
-	seq(wire.MigrateBegin(lockID, s.now()))
+	seq(wire.MigrateBegin(lockID, st.BaseNs))
 	for b, r := range regions {
 		// Region bounds are slot indices into the switch queue memory,
 		// always far below 2^32; the wire format carries them as uint32.
@@ -263,31 +258,14 @@ func (s *Switch) NowNs() int64 {
 
 // --- Lock-server node control surface for live moves ---
 
-// PrepareImport stakes out the lock at this server ahead of a demote, so
-// requests racing the move bounce instead of adopting the lock (see
-// lockserver.CtrlPrepareImport).
-func (s *Server) PrepareImport(lockID uint32) {
-	s.mu.Lock()
-	s.ls.CtrlPrepareImport(lockID)
-	s.mu.Unlock()
-}
-
-// ExportLock exports this server's queue state for lockID, releasing
-// ownership (lockserver.CtrlExportLock).
-func (s *Server) ExportLock(lockID uint32) (lockserver.LockExport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls.CtrlExportLock(lockID)
-}
-
 // ImportLock installs migrated queue state at this server and forwards the
 // resulting overflow-replay grants through the switch like any other
-// server output. Entry leases must already be rebased to this server's
-// clock (see NowNs).
-func (s *Server) ImportLock(lockID uint32, banks [][]lockserver.ExportEntry) error {
+// server output. Leases must already be rebased onto this server's clock
+// (lockserver.CtrlNow).
+func (s *Server) ImportLock(st wire.LockState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	emits, err := s.ls.CtrlImportLock(lockID, banks)
+	emits, err := s.ls.CtrlImportLock(st)
 	if err != nil {
 		return err
 	}
@@ -299,50 +277,4 @@ func (s *Server) ImportLock(lockID uint32, banks [][]lockserver.ExportEntry) err
 		s.eg.flushAll()
 	}
 	return nil
-}
-
-// ExportOverflow removes and returns q2-buffered requests for a
-// switch-resident lock (drain residue; lockserver.CtrlExportOverflow).
-func (s *Server) ExportOverflow(lockID uint32) [][]wire.Header {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls.CtrlExportOverflow(lockID)
-}
-
-// ImportOverflow appends migrated q2 requests at this server
-// (lockserver.CtrlImportOverflow).
-func (s *Server) ImportOverflow(lockID uint32, banks [][]wire.Header) {
-	s.mu.Lock()
-	s.ls.CtrlImportOverflow(lockID, banks)
-	s.mu.Unlock()
-}
-
-// SetDraining flips the server's draining mode: while draining, requests
-// for locks this server does not own are answered OpReject+FlagMoved so
-// clients retry through the switch instead of parking state here.
-func (s *Server) SetDraining(on bool) {
-	s.mu.Lock()
-	s.ls.CtrlSetDraining(on)
-	s.mu.Unlock()
-}
-
-// OwnedLocks returns the locks this server currently owns.
-func (s *Server) OwnedLocks() []uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls.CtrlOwnedLocks()
-}
-
-// OverflowLocks returns switch-resident locks with q2 residue here.
-func (s *Server) OverflowLocks() []uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls.CtrlOverflowLocks()
-}
-
-// NowNs returns the server's data-plane clock for lease rebasing.
-func (s *Server) NowNs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ls.CtrlNow()
 }

@@ -39,32 +39,31 @@ func installChainLock(t *testing.T, sws []*Switch, srv *Server, lockID uint32, r
 	}
 }
 
-// exportToServerBanks converts a switch export into lock-server import
-// banks, rebasing absolute lease expiries from the exporter's clock onto
-// the destination server's.
-func exportToServerBanks(ex *switchdp.LockExport, baseNs, nowNs int64) [][]lockserver.ExportEntry {
-	banks := make([][]lockserver.ExportEntry, len(ex.Slots))
-	for b := range ex.Slots {
-		for _, sl := range ex.Slots[b] {
-			h, lease, granted := switchdp.EntryFromSlot(ex.LockID, b, sl)
-			if lease != 0 {
-				lease = lease - baseNs + nowNs
-			}
-			banks[b] = append(banks[b], lockserver.ExportEntry{Hdr: h, LeaseNs: lease, Granted: granted})
-		}
-	}
-	return banks
+// primeImport stakes lockID out at srv ahead of a demote, as the
+// controller does, so racing requests bounce instead of adopting it.
+func primeImport(srv *Server, lockID uint32) {
+	srv.WithLockServer(func(ls *lockserver.Server) { ls.CtrlPrepareImport(lockID) })
 }
 
-// rebaseServerExport rebases a lock-server export's leases onto the chain
-// head's clock in place.
-func rebaseServerExport(ex *lockserver.LockExport, nowNs int64) {
-	for b := range ex.Banks {
-		for i := range ex.Banks[b] {
-			if ex.Banks[b][i].LeaseNs != 0 {
-				ex.Banks[b][i].LeaseNs = ex.Banks[b][i].LeaseNs - ex.BaseNs + nowNs
-			}
-		}
+// serverExport exports srv's queue state for lockID, releasing ownership.
+func serverExport(t *testing.T, srv *Server, lockID uint32) wire.LockState {
+	t.Helper()
+	var st wire.LockState
+	var err error
+	srv.WithLockServer(func(ls *lockserver.Server) { st, err = ls.CtrlExportLock(lockID) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// serverImport installs st at srv, rebased onto the server's clock.
+func serverImport(t *testing.T, srv *Server, st wire.LockState) {
+	t.Helper()
+	var now int64
+	srv.WithLockServer(func(ls *lockserver.Server) { now = ls.CtrlNow() })
+	if err := srv.ImportLock(st.Rebase(now)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,17 +104,15 @@ func TestChainDemoteLiveLock(t *testing.T) {
 	waiter.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: lockID, TxnID: 2}, sws[0].Addr())
 	time.Sleep(20 * time.Millisecond) // let the waiter reach the switch queue
 
-	srv.PrepareImport(lockID)
-	ex, baseNs, err := sws[0].MigrateDemoteLock(lockID)
+	primeImport(srv, lockID)
+	ex, err := sws[0].MigrateDemoteLock(lockID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ex.Entries(); got != 2 {
+	if got := len(ex.Banks[0]); got != 2 {
 		t.Fatalf("export carries %d entries, want holder+waiter", got)
 	}
-	if err := srv.ImportLock(lockID, exportToServerBanks(&ex, baseNs, srv.NowNs())); err != nil {
-		t.Fatal(err)
-	}
+	serverImport(t, srv, ex)
 
 	// Every member evicts the lock at the same op-stream position (the
 	// non-head members a frame's flight time later).
@@ -154,16 +151,12 @@ func TestChainPromoteLiveLock(t *testing.T) {
 	waiter.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: lockID, TxnID: 4}, sws[0].Addr())
 	time.Sleep(20 * time.Millisecond) // let the waiter queue at the server
 
-	ex, err := srv.ExportLock(lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ex.Entries(); got != 2 {
+	ex := serverExport(t, srv, lockID)
+	if got := len(ex.Banks[0]); got != 2 {
 		t.Fatalf("export carries %d entries, want holder+waiter", got)
 	}
-	rebaseServerExport(&ex, sws[0].NowNs())
 	regions := []switchdp.Region{{Left: 8, Right: 16}}
-	if err := sws[0].MigratePromoteLock(lockID, regions, ex.Banks); err != nil {
+	if err := sws[0].MigratePromoteLock(regions, ex.Rebase(sws[0].NowNs())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,23 +207,17 @@ func TestChainMigrateRoundTrip(t *testing.T) {
 	w2.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Shared, LockID: lockID, TxnID: 12}, sws[0].Addr())
 	time.Sleep(20 * time.Millisecond)
 
-	srv.PrepareImport(lockID)
-	ex, baseNs, err := sws[0].MigrateDemoteLock(lockID)
+	primeImport(srv, lockID)
+	ex, err := sws[0].MigrateDemoteLock(lockID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ImportLock(lockID, exportToServerBanks(&ex, baseNs, srv.NowNs())); err != nil {
-		t.Fatal(err)
-	}
-	sx, err := srv.ExportLock(lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sx.Entries(); got != 3 {
+	serverImport(t, srv, ex)
+	sx := serverExport(t, srv, lockID)
+	if got := len(sx.Banks[0]); got != 3 {
 		t.Fatalf("round-trip export carries %d entries, want 3", got)
 	}
-	rebaseServerExport(&sx, sws[0].NowNs())
-	if err := sws[0].MigratePromoteLock(lockID, []switchdp.Region{{Left: 16, Right: 24}}, sx.Banks); err != nil {
+	if err := sws[0].MigratePromoteLock([]switchdp.Region{{Left: 16, Right: 24}}, sx.Rebase(sws[0].NowNs())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,10 +258,7 @@ func TestChainPromoteRetransmitNoGhost(t *testing.T) {
 
 	// The move begins: the server's queue (holder + waiter) is exported and
 	// ownership released — taking the server's dedup state with it.
-	ex, err := srv.ExportLock(lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := serverExport(t, srv, lockID)
 
 	// The waiter's retransmit fires mid-move. The head re-sequences it (the
 	// lock is not resident, so the forward leg could have been lost), the
@@ -283,8 +267,7 @@ func TestChainPromoteRetransmitNoGhost(t *testing.T) {
 	waiter.send(&req, sws[0].Addr())
 	time.Sleep(10 * time.Millisecond)
 
-	rebaseServerExport(&ex, sws[0].NowNs())
-	if err := sws[0].MigratePromoteLock(lockID, []switchdp.Region{{Left: 0, Right: 8}}, ex.Banks); err != nil {
+	if err := sws[0].MigratePromoteLock([]switchdp.Region{{Left: 0, Right: 8}}, ex.Rebase(sws[0].NowNs())); err != nil {
 		t.Fatal(err)
 	}
 	for _, sw := range sws {
@@ -332,25 +315,25 @@ func TestChainMigrateGuards(t *testing.T) {
 		}
 	})
 
-	if _, _, err := sws[0].MigrateDemoteLock(99); err == nil {
+	if _, err := sws[0].MigrateDemoteLock(99); err == nil {
 		t.Fatal("demote of a non-resident lock did not error")
 	}
-	if _, _, err := sws[1].MigrateDemoteLock(lockID); err == nil {
+	if _, err := sws[1].MigrateDemoteLock(lockID); err == nil {
 		t.Fatal("demote on a non-head member did not error")
 	}
-	if err := sws[0].MigratePromoteLock(lockID, []switchdp.Region{{Left: 8, Right: 16}}, nil); err == nil {
+	if err := sws[0].MigratePromoteLock([]switchdp.Region{{Left: 8, Right: 16}}, wire.LockState{LockID: lockID}); err == nil {
 		t.Fatal("promote of an already-resident lock did not error")
 	}
-	if err := sws[0].MigratePromoteLock(99, nil, nil); err == nil {
+	if err := sws[0].MigratePromoteLock(nil, wire.LockState{LockID: 99}); err == nil {
 		t.Fatal("promote with missing regions did not error")
 	}
-	overfull := [][]lockserver.ExportEntry{make([]lockserver.ExportEntry, 3)}
-	for i := range overfull[0] {
-		overfull[0][i] = lockserver.ExportEntry{
+	overfull := wire.LockState{LockID: 99, Banks: [][]wire.LockEntry{make([]wire.LockEntry, 3)}}
+	for i := range overfull.Banks[0] {
+		overfull.Banks[0][i] = wire.LockEntry{
 			Hdr: wire.Header{Op: wire.OpAcquire, Mode: wire.Shared, LockID: 99, TxnID: uint64(20 + i)},
 		}
 	}
-	if err := sws[0].MigratePromoteLock(99, []switchdp.Region{{Left: 8, Right: 10}}, overfull); err == nil {
+	if err := sws[0].MigratePromoteLock([]switchdp.Region{{Left: 8, Right: 10}}, overfull); err == nil {
 		t.Fatal("promote with more entries than region capacity did not error")
 	}
 
@@ -384,12 +367,8 @@ func TestChainBounceReleaseDuplicateIdempotent(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the waiter queue at the server
 
 	// Promote the occupied lock into the switch.
-	ex, err := srv.ExportLock(lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebaseServerExport(&ex, sws[0].NowNs())
-	if err := sws[0].MigratePromoteLock(lockID, []switchdp.Region{{Left: 0, Right: 8}}, ex.Banks); err != nil {
+	ex := serverExport(t, srv, lockID)
+	if err := sws[0].MigratePromoteLock([]switchdp.Region{{Left: 0, Right: 8}}, ex.Rebase(sws[0].NowNs())); err != nil {
 		t.Fatal(err)
 	}
 	for _, sw := range sws {

@@ -103,7 +103,7 @@ type Switch struct {
 	// migDemoted / migErr hand the last applyMigrate result on THIS member
 	// back to the head-side entry points (sequence() applies locally and
 	// synchronously under s.mu).
-	migDemoted *switchdp.LockExport
+	migDemoted *wire.LockState
 	migErr     error
 
 	// chain is the replication role (see chain.go). NewSwitch initializes

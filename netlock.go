@@ -121,11 +121,11 @@ type Config struct {
 	// RebalanceBudget caps live moves per shard per rebalance tick
 	// (default 4).
 	RebalanceBudget int
-	// OnRebalanceMove, when set, observes every attempted live move
-	// (including the explicit MoveToSwitch/MoveToServer calls' automatic
-	// counterparts). Called synchronously from the tick; must not call back
-	// into RebalanceTick.
-	OnRebalanceMove func(RebalanceMove)
+	// OnRebalanceMove, when set, observes every live move the rebalance
+	// loop attempts: its report and, for a failed move, the error (the
+	// loop re-plans a failed move on the next tick). Called
+	// synchronously from the tick; must not call back into RebalanceTick.
+	OnRebalanceMove func(RebalanceMove, error)
 	// Metrics enables the observability layer: per-stage latency
 	// histograms (switch pass, server queue wait, end-to-end acquire) and
 	// paper-aligned counters, striped per shard and read via

@@ -16,28 +16,12 @@ import (
 // shard plans over its own slice of the register space and there is no
 // cross-shard allocation decision to coordinate.
 
-// RebalanceMove describes one attempted live move, for Config.OnRebalanceMove
-// observers (typically a test oracle validating the migrated queue state).
-// Granted and Waiting list the transactions that crossed the residency
-// boundary holding the lock and waiting for it, in queue order.
-type RebalanceMove struct {
-	Shard    int
-	LockID   uint32
-	ToSwitch bool
-	Granted  []uint64
-	Waiting  []uint64
-	// Err is non-nil when the move failed (capacity race, lock mid-failover);
-	// a failed move is re-planned on the next tick.
-	Err error
-}
-
-// rebalanceMove is the exported view of one shard's move report.
-func rebalanceMove(shard int, r rebalance.Report, err error) RebalanceMove {
-	return RebalanceMove{
-		Shard: shard, LockID: r.LockID, ToSwitch: r.ToSwitch,
-		Granted: r.Granted, Waiting: r.Waiting, Err: err,
-	}
-}
+// RebalanceMove reports one live move, for Config.OnRebalanceMove
+// observers (typically a test oracle validating the migrated queue state)
+// and the explicit MoveToSwitch/MoveToServer calls. Granted and Waiting
+// list the transactions that crossed the residency boundary holding the
+// lock and waiting for it, in queue order.
+type RebalanceMove = rebalance.Report
 
 // RebalanceStats aggregates the per-shard rebalance loop counters.
 type RebalanceStats struct {
@@ -109,16 +93,11 @@ func (sm *shardMover) MoveToServer(lockID uint32) (rebalance.Report, error) {
 
 // initRebalance builds one rebalance loop per shard. Called from New.
 func (m *Manager) initRebalance() {
-	for i, sh := range m.shards {
+	for _, sh := range m.shards {
 		rcfg := rebalance.Config{
 			Interval: m.cfg.RebalanceInterval,
 			Budget:   m.cfg.RebalanceBudget,
-		}
-		if hook := m.cfg.OnRebalanceMove; hook != nil {
-			shardIdx := i
-			rcfg.OnMove = func(r rebalance.Report, err error) {
-				hook(rebalanceMove(shardIdx, r, err))
-			}
+			OnMove:   m.cfg.OnRebalanceMove,
 		}
 		sh.rebal = rebalance.New(&shardMover{sh: sh}, rcfg)
 	}
@@ -178,14 +157,12 @@ func (m *Manager) MoveToSwitch(lockID uint32, slots int) (RebalanceMove, error) 
 		return RebalanceMove{}, fmt.Errorf("netlock: move lock %d: negative slot count", lockID)
 	}
 	sh := m.shardFor(lockID)
-	shardIdx := int(lockID % uint32(len(m.shards)))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return RebalanceMove{}, ErrClosed
 	}
-	rep, err := sh.mgr.MoveToSwitch(lockID, uint64(slots))
-	return rebalanceMove(shardIdx, rep, err), err
+	return sh.mgr.MoveToSwitch(lockID, uint64(slots))
 }
 
 // MoveToServer live-demotes a switch-resident lock to its home server,
@@ -196,7 +173,6 @@ func (m *Manager) MoveToServer(lockID uint32) (RebalanceMove, error) {
 		return RebalanceMove{}, ErrClosed
 	}
 	sh := m.shardFor(lockID)
-	shardIdx := int(lockID % uint32(len(m.shards)))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
@@ -206,7 +182,7 @@ func (m *Manager) MoveToServer(lockID uint32) (RebalanceMove, error) {
 	if err == nil {
 		sh.routeServerEmits(emits)
 	}
-	return rebalanceMove(shardIdx, rep, err), err
+	return rep, err
 }
 
 // AddServer grows every shard's server tier by one and migrates the

@@ -21,22 +21,28 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// moveLog collects OnRebalanceMove reports under a mutex.
+// moveLog collects OnRebalanceMove reports and errors under a mutex.
 type moveLog struct {
 	mu    sync.Mutex
-	moves []RebalanceMove
+	moves []loggedMove
 }
 
-func (l *moveLog) add(mv RebalanceMove) {
+// loggedMove is one observed move report and its error.
+type loggedMove struct {
+	RebalanceMove
+	Err error
+}
+
+func (l *moveLog) add(mv RebalanceMove, err error) {
 	l.mu.Lock()
-	l.moves = append(l.moves, mv)
+	l.moves = append(l.moves, loggedMove{mv, err})
 	l.mu.Unlock()
 }
 
-func (l *moveLog) snapshot() []RebalanceMove {
+func (l *moveLog) snapshot() []loggedMove {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]RebalanceMove(nil), l.moves...)
+	return append([]loggedMove(nil), l.moves...)
 }
 
 // TestRebalanceTickPromotesHot: sustained traffic earns switch residency
