@@ -73,3 +73,52 @@ func TestFabricClientSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("fabric steady-state acquire/release allocates %.2f/op, want <= 2", avg)
 	}
 }
+
+// switchOpCycle returns one acquire/release cycle of the switch-resident
+// lock on a manualSwitch, each call under a fresh txn: head ingress, the
+// dedup table, the data plane and egress, with no socket or goroutine in
+// the way.
+func switchOpCycle(s *Switch) func() {
+	var txn uint64
+	return func() {
+		txn++
+		ingress(s, wire.OriginClient, clientOp(wire.OpAcquire, manualResidentLock, txn), manualClient)
+		ingress(s, wire.OriginClient, clientOp(wire.OpRelease, manualResidentLock, txn), manualClient)
+	}
+}
+
+// warmSwitchOpCycle runs enough cycles to fill the done window, after
+// which every completed key evicts one: the switch's steady state.
+func warmSwitchOpCycle(cycle func()) {
+	for i := 0; i < doneWindow+256; i++ {
+		cycle()
+	}
+}
+
+// TestSwitchOpCycleAllocs gates the switch's per-op path: in steady state
+// an acquire/release cycle allocates nothing.
+func TestSwitchOpCycleAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short")
+	}
+	s, _ := manualSwitch(t, true)
+	cycle := switchOpCycle(s)
+	warmSwitchOpCycle(cycle)
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("switch acquire/release cycle allocates %.2f/op, want 0", avg)
+	}
+}
+
+// BenchmarkSwitchOpCycle times one acquire/release cycle of a
+// switch-resident lock through headIngress, applyOp and egress on a
+// PacketConn that discards writes.
+func BenchmarkSwitchOpCycle(b *testing.B) {
+	s, _ := manualSwitch(b, true)
+	cycle := switchOpCycle(s)
+	warmSwitchOpCycle(cycle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

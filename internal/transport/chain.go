@@ -12,18 +12,18 @@ import (
 //
 // A chain is 2-3 Switch nodes holding identical replicas of the switch
 // state: the data-plane program (queues, grants, overflow marks) and the
-// transport dedup tables (pending, granted, relPending). The protocol
-// keeps them identical by replicating *decisions*, not state: the head is
-// the single sequencer — every state-mutating op (client acquires and
-// releases after the head's dedup vetting, lock-server responses, the
-// lease sweep's synthesized releases) receives a sequence number and
-// propagates head→tail in wire.ChainMsg envelopes over the reliable
-// in-rack fabric. Every member applies the same op stream through
+// transport's per-op dedup table (each (lock, txn) pending, granted,
+// releasing or done). The protocol keeps them identical by replicating
+// *decisions*, not state: the head is the single sequencer — every
+// state-mutating op (client acquires and releases after the head's dedup
+// vetting, lock-server responses, the lease sweep's synthesized releases)
+// receives a sequence number and propagates head→tail in wire.ChainMsg
+// envelopes over the reliable in-rack fabric. Every member applies the same op stream through
 // Switch.applyOp, which is deterministic given the stream; only the tail's
 // sends are externally visible (grants to clients, forwards to lock
 // servers). A client therefore observes a grant only after every member
 // has recorded it: killing any member never loses a granted lock, and the
-// replicated dedup tables mean a retransmitted acquire or release is
+// replicated dedup table means a retransmitted acquire or release is
 // answered the same way by whichever member is head after a failure —
 // never double-granted and never double-released.
 //
@@ -346,7 +346,7 @@ func (s *Switch) announceEpochLocked() {
 	if !s.selfAP.IsValid() {
 		return
 	}
-	seen := make(map[netip.AddrPort]struct{}, len(s.pending)+len(s.granted)+len(s.relPending))
+	seen := make(map[netip.AddrPort]struct{})
 	send := func(to netip.AddrPort) {
 		if !to.IsValid() {
 			return
@@ -357,14 +357,11 @@ func (s *Switch) announceEpochLocked() {
 		seen[to] = struct{}{}
 		s.sendEpochTo(to, s.selfAP)
 	}
-	for _, p := range s.pending {
-		send(p.addr)
-	}
-	for _, g := range s.granted {
-		send(g.addr)
-	}
-	for _, to := range s.relPending {
-		send(to)
+	for _, e := range s.live {
+		send(e.addr)
+		if e.phase == phaseReleasing {
+			send(e.ackTo)
+		}
 	}
 	s.eg.flushAll()
 }

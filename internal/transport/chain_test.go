@@ -316,7 +316,7 @@ func TestBareHeaderIngress(t *testing.T) {
 				t.Fatalf("framed grant: %v", err)
 			}
 			c.mu.Lock()
-			_, pending := c.acquires[handles[0].key]
+			_, pending := c.acquires[handles[0].key.txn]
 			n := len(c.acquires)
 			c.mu.Unlock()
 			if !pending || n != 1 {

@@ -27,7 +27,7 @@ import (
 // which the scheduler runs once the submitter blocks, so everything one
 // burst produced shares a datagram and no op waits on a timer. Completions
 // arrive on the shared read loop, which matches them to in-flight ops by
-// (lock, txn).
+// txn and checks the lock.
 //
 // Loss handling is end to end: unanswered acquires and un-acked releases
 // are retransmitted every RetryInterval (the switch deduplicates), ctx
@@ -75,11 +75,15 @@ type Client struct {
 	// them outside the lock.
 	failovers []failoverEvent
 	nextTxn   uint64
-	acquires  map[pendKey]*AsyncAcquire
-	releases  map[pendKey]*Grant
+	// tick counts retry sweeps; ops record it as their last send.
+	tick uint64
+	// The in-flight tables are keyed by txn (unique per client); an ingress
+	// op matches an entry only if its lock does too.
+	acquires map[uint64]*AsyncAcquire
+	releases map[uint64]*Grant
 	// grants holds delivered, unreleased grants so a duplicated grant
 	// datagram is distinguishable from a grant for an abandoned op.
-	grants map[pendKey]*Grant
+	grants map[uint64]*Grant
 	// rackOut is sweep scratch: per-rack outstanding-op counts.
 	rackOut []int
 	// kick wakes flushLoop. No lost wake-up: while any rack frame is
@@ -218,9 +222,9 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 		retryEvery: retry,
 		onFailover: cfg.OnFailover,
 		rackOut:    make([]int, len(racks)),
-		acquires:   make(map[pendKey]*AsyncAcquire),
-		releases:   make(map[pendKey]*Grant),
-		grants:     make(map[pendKey]*Grant),
+		acquires:   make(map[uint64]*AsyncAcquire),
+		releases:   make(map[uint64]*Grant),
+		grants:     make(map[uint64]*Grant),
 		kick:       make(chan struct{}, 1),
 		closed:     make(chan struct{}),
 	}
@@ -274,18 +278,14 @@ func (c *Client) Close() error {
 	c.wg.Wait()
 	c.mu.Lock()
 	var done []*AsyncAcquire
-	for k, a := range c.acquires {
-		delete(c.acquires, k)
+	for txn, a := range c.acquires {
+		delete(c.acquires, txn)
 		a.g = nil
-		a.err = fmt.Errorf("transport: acquire lock %d: %w", k.lock, netlock.ErrClosed)
+		a.err = fmt.Errorf("transport: acquire lock %d: %w", a.LockID(), netlock.ErrClosed)
 		done = append(done, a)
 	}
-	for k := range c.releases {
-		delete(c.releases, k)
-	}
-	for k := range c.grants {
-		delete(c.grants, k)
-	}
+	clear(c.releases)
+	clear(c.grants)
 	c.mu.Unlock()
 	for _, a := range done {
 		c.finishAcquire(a)
@@ -299,14 +299,14 @@ func (c *Client) Close() error {
 // recycled and must not be touched again.
 type AsyncAcquire struct {
 	c        *Client
-	key      pendKey
+	key      opKey
 	hdr      wire.Header
 	ch       chan struct{}
 	cb       func(*Grant, error)
 	g        *Grant
 	err      error
 	deadline time.Time // zero = none; enforced by the sweep
-	lastSend time.Time // guarded by c.mu
+	lastSend uint64    // sweep tick; guarded by c.mu
 }
 
 // Txn returns the transaction ID identifying this acquire on the wire.
@@ -314,7 +314,7 @@ type AsyncAcquire struct {
 func (a *AsyncAcquire) Txn() uint64 { return a.key.txn }
 
 // LockID returns the lock this acquire addresses.
-func (a *AsyncAcquire) LockID() uint32 { return a.key.lock }
+func (a *AsyncAcquire) LockID() uint32 { return uint32(a.key.lock) }
 
 // Wait blocks until the acquire completes, ctx is done, or the client
 // closes. It must be called exactly once per handle obtained from
@@ -337,11 +337,11 @@ func (a *AsyncAcquire) Wait(ctx context.Context) (*Grant, error) {
 // abandon resolves a Wait that lost the race to ctx or Close. cause is the
 // ctx error, or nil for client close.
 func (c *Client) abandon(a *AsyncAcquire, cause error) (*Grant, error) {
-	lockID := a.key.lock
+	lockID := a.LockID()
 	c.mu.Lock()
-	_, pending := c.acquires[a.key]
+	_, pending := c.acquires[a.key.txn]
 	if pending {
-		delete(c.acquires, a.key)
+		delete(c.acquires, a.key.txn)
 	}
 	c.mu.Unlock()
 	if !pending {
@@ -408,7 +408,6 @@ func (c *Client) submit(ctx context.Context, lockID uint32, mode netlock.Mode, c
 	a.g = nil
 	a.err = nil
 	a.deadline, _ = ctx.Deadline()
-	a.lastSend = time.Now()
 	c.mu.Lock()
 	select {
 	case <-c.closed:
@@ -420,7 +419,8 @@ func (c *Client) submit(ctx context.Context, lockID uint32, mode netlock.Mode, c
 	default:
 	}
 	c.nextTxn++
-	a.key = pendKey{lockID, c.nextTxn}
+	a.key = opKey{c.nextTxn, uint64(lockID)}
+	a.lastSend = c.tick
 	a.hdr = wire.Header{
 		Op:         wire.OpAcquire,
 		Mode:       wm,
@@ -432,7 +432,7 @@ func (c *Client) submit(ctx context.Context, lockID uint32, mode netlock.Mode, c
 		Priority:   o.Priority,
 		LeaseNs:    int64(o.Lease),
 	}
-	c.acquires[a.key] = a
+	c.acquires[a.key.txn] = a
 	c.enqueueOp(&a.hdr)
 	c.mu.Unlock()
 	return a, nil
@@ -451,16 +451,16 @@ const (
 // Grant is a lock held through a Client.
 type Grant struct {
 	c        *Client
-	key      pendKey
+	key      opKey
 	hdr      wire.Header // acquire header; release/ack echo its fields
 	rack     int         // rack that issued the grant; 0 outside a fabric
 	state    atomic.Uint32
 	ackCh    chan struct{}
-	lastSend time.Time // guarded by c.mu
+	lastSend uint64 // sweep tick; guarded by c.mu
 }
 
 // LockID returns the granted lock.
-func (g *Grant) LockID() uint32 { return g.key.lock }
+func (g *Grant) LockID() uint32 { return uint32(g.key.lock) }
 
 // Txn returns the transaction ID the grant was issued under.
 func (g *Grant) Txn() uint64 { return g.key.txn }
@@ -503,39 +503,42 @@ func (g *Grant) ReleaseWait(ctx context.Context) error {
 		}
 		return ctx.Err()
 	case <-c.closed:
-		return fmt.Errorf("transport: release lock %d: %w", g.key.lock, netlock.ErrClosed)
+		return fmt.Errorf("transport: release lock %d: %w", g.LockID(), netlock.ErrClosed)
 	}
 }
 
 // startRelease moves g into the release-pending table and queues the first
 // release datagram.
 func (c *Client) startRelease(g *Grant) {
+	c.mu.Lock()
+	delete(c.grants, g.key.txn)
+	c.releases[g.key.txn] = g
+	g.lastSend = c.tick
+	c.enqueueRelease(g)
+	c.mu.Unlock()
+}
+
+// enqueueRelease queues one release datagram for g. Caller holds c.mu.
+func (c *Client) enqueueRelease(g *Grant) {
 	h := g.hdr
 	h.Op = wire.OpRelease
-	c.mu.Lock()
-	delete(c.grants, g.key)
-	c.releases[g.key] = g
-	g.lastSend = time.Now()
 	c.enqueueOp(&h)
-	c.mu.Unlock()
 }
 
 // autoRelease gives back a grant that arrived for an op this client no
 // longer tracks (cancelled, timed out, or already fully released): it
 // fabricates a releasing Grant so the normal retry/ack machinery applies.
 // Caller holds c.mu.
-func (c *Client) autoRelease(h *wire.Header, key pendKey) {
+func (c *Client) autoRelease(h *wire.Header, key opKey) {
 	g := c.grantPool.Get().(*Grant)
 	g.c = c
 	g.key = key
 	g.hdr = *h
-	g.hdr.Op = wire.OpRelease
 	g.hdr.Flags = 0 // grant flag bits must not leak into the release path
 	g.state.Store(grantReleasing)
-	g.lastSend = time.Now()
-	c.releases[key] = g
-	rel := g.hdr
-	c.enqueueOp(&rel)
+	g.lastSend = c.tick
+	c.releases[key.txn] = g
+	c.enqueueRelease(g)
 }
 
 // rackFor routes a lock to its rack under the client's shard map. Caller
@@ -649,7 +652,7 @@ func (c *Client) adoptEpoch(h *wire.Header, rk int) {
 		return
 	}
 	if moved {
-		c.retransmitRackLocked(rk)
+		c.retransmitLocked(rk)
 	}
 	if c.onFailover != nil {
 		c.failovers = append(c.failovers, failoverEvent{epoch: r.epoch, head: head.String()})
@@ -686,51 +689,26 @@ func (c *Client) adoptMap(m *wire.ShardMap) {
 		return // single-rack clients ignore maps; older epochs are stale
 	}
 	c.smap = m.Clone()
-	c.retransmitAllLocked()
+	c.retransmitLocked(-1)
 }
 
-// retransmitAllLocked re-sends every outstanding acquire and release,
-// routed per lock, resetting their retry clocks. Caller holds c.mu.
-func (c *Client) retransmitAllLocked() {
-	now := time.Now()
+// retransmitLocked re-sends the outstanding acquires and releases routed
+// to rack rk (every rack if rk < 0), resetting their retry clocks. Caller
+// holds c.mu.
+func (c *Client) retransmitLocked(rk int) {
 	for _, a := range c.acquires {
-		a.lastSend = now
-		c.enqueueOp(&a.hdr)
+		if rk < 0 || c.rackFor(a.LockID()) == rk {
+			a.lastSend = c.tick
+			c.enqueueOp(&a.hdr)
+		}
 	}
 	for _, g := range c.releases {
-		g.lastSend = now
-		h := g.hdr
-		h.Op = wire.OpRelease
-		c.enqueueOp(&h)
+		if rk < 0 || c.rackFor(g.LockID()) == rk {
+			g.lastSend = c.tick
+			c.enqueueRelease(g)
+		}
 	}
 	c.flushLocked()
-}
-
-// retransmitRackLocked re-sends the outstanding acquires and releases
-// routed to rack rk, resetting their retry clocks. Caller holds c.mu.
-func (c *Client) retransmitRackLocked(rk int) {
-	if len(c.racks) == 1 {
-		c.retransmitAllLocked()
-		return
-	}
-	now := time.Now()
-	for key, a := range c.acquires {
-		if c.rackFor(key.lock) != rk {
-			continue
-		}
-		a.lastSend = now
-		c.enqueueOp(&a.hdr)
-	}
-	for key, g := range c.releases {
-		if c.rackFor(key.lock) != rk {
-			continue
-		}
-		g.lastSend = now
-		h := g.hdr
-		h.Op = wire.OpRelease
-		c.enqueueOp(&h)
-	}
-	c.flushRackLocked(rk)
 }
 
 // rotateIfSilent is the sweep's failover backstop for the window between a
@@ -747,11 +725,11 @@ func (c *Client) rotateIfSilent(now time.Time) {
 	for i := range out {
 		out[i] = 0
 	}
-	for key := range c.acquires {
-		out[c.rackFor(key.lock)]++
+	for _, a := range c.acquires {
+		out[c.rackFor(a.LockID())]++
 	}
-	for key := range c.releases {
-		out[c.rackFor(key.lock)]++
+	for _, g := range c.releases {
+		out[c.rackFor(g.LockID())]++
 	}
 	quiet := 2 * c.retryEvery
 	for rk := range c.racks {
@@ -764,7 +742,7 @@ func (c *Client) rotateIfSilent(now time.Time) {
 		}
 		r.cur = (r.cur + 1) % len(r.targets)
 		r.lastMove = now
-		c.retransmitRackLocked(rk)
+		c.retransmitLocked(rk)
 	}
 }
 
@@ -773,11 +751,12 @@ func (c *Client) rotateIfSilent(now time.Time) {
 // the flusher like any other op.
 func (c *Client) sweepLoop() {
 	defer c.wg.Done()
-	tick := c.retryEvery / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	// Ops are stamped with the sweep count, not the wall clock: one is
+	// resent after ceil(RetryInterval/every) + 1 sweeps, between
+	// RetryInterval and RetryInterval + every after its last send.
+	every := max(c.retryEvery/4, time.Millisecond)
+	retryTicks := uint64((c.retryEvery+every-1)/every) + 1
+	t := time.NewTicker(every)
 	defer t.Stop()
 	var expired []*AsyncAcquire
 	for {
@@ -789,26 +768,25 @@ func (c *Client) sweepLoop() {
 		now := time.Now()
 		expired = expired[:0]
 		c.mu.Lock()
-		for key, a := range c.acquires {
+		c.tick++
+		for txn, a := range c.acquires {
 			if !a.deadline.IsZero() && now.After(a.deadline) {
-				delete(c.acquires, key)
+				delete(c.acquires, txn)
 				a.g = nil
 				a.err = fmt.Errorf("transport: acquire lock %d: %w (%w)",
-					key.lock, netlock.ErrTimeout, context.DeadlineExceeded)
+					a.LockID(), netlock.ErrTimeout, context.DeadlineExceeded)
 				expired = append(expired, a)
 				continue
 			}
-			if now.Sub(a.lastSend) >= c.retryEvery {
-				a.lastSend = now
+			if c.tick-a.lastSend >= retryTicks {
+				a.lastSend = c.tick
 				c.enqueueOp(&a.hdr)
 			}
 		}
 		for _, g := range c.releases {
-			if now.Sub(g.lastSend) >= c.retryEvery {
-				g.lastSend = now
-				h := g.hdr
-				h.Op = wire.OpRelease
-				c.enqueueOp(&h)
+			if c.tick-g.lastSend >= retryTicks {
+				g.lastSend = c.tick
+				c.enqueueRelease(g)
 			}
 		}
 		c.rotateIfSilent(now)
@@ -897,51 +875,54 @@ func (c *Client) readLoop() {
 // completion. rk is the rack the op arrived from (-1 when unattributed).
 // Caller holds c.mu.
 func (c *Client) handleOp(h *wire.Header, rk int, doneAcq []*AsyncAcquire, doneRel []*Grant) ([]*AsyncAcquire, []*Grant) {
-	key := pendKey{h.LockID, h.TxnID}
+	key := keyOf(h)
 	switch h.Op {
 	case wire.OpGrant, wire.OpFetch:
-		if a, ok := c.acquires[key]; ok {
-			delete(c.acquires, key)
+		a, ok := c.acquires[key.txn]
+		if ok && a.key == key {
+			delete(c.acquires, key.txn)
 			g := c.grantPool.Get().(*Grant)
 			g.c = c
 			g.key = key
 			g.hdr = a.hdr
 			g.rack = rk
 			if rk < 0 {
-				g.rack = c.rackFor(key.lock)
+				g.rack = c.rackFor(h.LockID)
 			}
 			g.state.Store(grantHeld)
-			c.grants[key] = g
+			c.grants[key.txn] = g
 			a.g = g
 			a.err = nil
 			return append(doneAcq, a), doneRel
 		}
-		if _, held := c.grants[key]; held {
-			return doneAcq, doneRel // duplicated grant datagram
-		}
-		if _, rel := c.releases[key]; rel {
-			return doneAcq, doneRel // duplicate; release already in flight
+		_, held := c.grants[key.txn]
+		_, rel := c.releases[key.txn]
+		if ok || held || rel {
+			// A duplicated grant datagram, a duplicate whose release is
+			// already in flight, or a txn tracked under another lock:
+			// auto-releasing would overwrite the tracked op's entry.
+			return doneAcq, doneRel
 		}
 		c.autoRelease(h, key)
 	case wire.OpReject:
-		if a, ok := c.acquires[key]; ok {
+		if a, ok := c.acquires[key.txn]; ok && a.key == key {
 			if h.Flags&wire.FlagMoved != 0 {
 				// The lock's owner moved mid-request (a rebalancer drain):
 				// not a failure. Retry immediately through the switch, which
 				// routes to the new owner once the flip completes; the
 				// acquire's deadline still bounds the loop.
-				a.lastSend = time.Now()
+				a.lastSend = c.tick
 				c.enqueueOp(&a.hdr)
 				return doneAcq, doneRel
 			}
-			delete(c.acquires, key)
+			delete(c.acquires, key.txn)
 			a.g = nil
-			a.err = rejectErr(h, key.lock)
+			a.err = rejectErr(h, h.LockID)
 			return append(doneAcq, a), doneRel
 		}
 	case wire.OpReleaseAck:
-		if g, ok := c.releases[key]; ok {
-			delete(c.releases, key)
+		if g, ok := c.releases[key.txn]; ok && g.key == key {
+			delete(c.releases, key.txn)
 			return doneAcq, append(doneRel, g)
 		}
 	case wire.OpEpoch:
@@ -951,17 +932,15 @@ func (c *Client) handleOp(h *wire.Header, rk int, doneAcq []*AsyncAcquire, doneR
 		// frame travels alongside this bounce and re-routes everything on
 		// adoption; if our map already routes the lock elsewhere (the map
 		// frame won the race, or the op was mis-sent), resend now.
-		if c.smap == nil || (rk >= 0 && c.rackFor(key.lock) == rk) {
+		if c.smap == nil || (rk >= 0 && c.rackFor(h.LockID) == rk) {
 			return doneAcq, doneRel
 		}
-		if a, ok := c.acquires[key]; ok {
-			a.lastSend = time.Now()
+		if a, ok := c.acquires[key.txn]; ok && a.key == key {
+			a.lastSend = c.tick
 			c.enqueueOp(&a.hdr)
-		} else if g, ok := c.releases[key]; ok {
-			g.lastSend = time.Now()
-			rel := g.hdr
-			rel.Op = wire.OpRelease
-			c.enqueueOp(&rel)
+		} else if g, ok := c.releases[key.txn]; ok && g.key == key {
+			g.lastSend = c.tick
+			c.enqueueRelease(g)
 		}
 	}
 	return doneAcq, doneRel

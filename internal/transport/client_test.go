@@ -2,12 +2,14 @@ package transport
 
 import (
 	"context"
+	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"netlock"
 	"netlock/internal/switchdp"
+	"netlock/internal/wire"
 )
 
 // TestClientSteadyStateAllocs gates the client's steady-state send/receive
@@ -52,5 +54,55 @@ func TestClientSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, op); avg > 2 {
 		t.Fatalf("steady-state acquire/release allocates %.2f/op, want <= 2", avg)
+	}
+}
+
+// TestClientRetryPacing pins the retransmit cadence: against a peer that
+// never answers, the first two copies of an acquire arrive at least
+// RetryInterval apart, and the second within 3 × RetryInterval of the
+// first. The bounds are loose on purpose; the sweep ticks at a quarter of
+// the interval.
+func TestClientRetryPacing(t *testing.T) {
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	const retry = 100 * time.Millisecond
+	c, err := NewClientConfig(ClientConfig{Switch: peer.LocalAddr().String(), RetryInterval: retry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	a, err := c.AcquireAsync(ctx, 7, netlock.Exclusive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrivals []time.Time
+	buf := make([]byte, maxPacket)
+	peer.SetReadDeadline(time.Now().Add(5 * retry))
+	for len(arrivals) < 2 {
+		n, _, err := peer.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("copy %d of the acquire never arrived: %v", len(arrivals)+1, err)
+		}
+		var br wire.BatchReader
+		var h wire.Header
+		if br.Reset(buf[:n]) != nil {
+			continue
+		}
+		for ok, _ := br.Next(&h); ok; ok, _ = br.Next(&h) {
+			if h.Op == wire.OpAcquire && h.TxnID == a.Txn() {
+				arrivals = append(arrivals, time.Now())
+				break
+			}
+		}
+	}
+	cancel()
+	a.Wait(ctx)
+	if gap := arrivals[1].Sub(arrivals[0]); gap < retry || gap > 3*retry {
+		t.Fatalf("second copy %v after the first, want within [%v, %v]", gap, retry, 3*retry)
 	}
 }

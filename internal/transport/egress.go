@@ -8,14 +8,13 @@ import (
 )
 
 // egress accumulates outgoing ops into per-destination batch frames and
-// writes each frame with one conn write. Flush policy belongs to the
-// caller: the switch and server flush after every ingress datagram and
-// control sweep, the client flushes adaptively (see client.go). egress is
-// not goroutine-safe; each node serializes it under its own mutex.
+// writes each frame with one conn write. The switch and server flush after
+// every ingress datagram and control sweep. egress is not goroutine-safe;
+// each node serializes it under its own mutex.
 type egress struct {
 	conn  PacketConn
 	o     *obs.Stripe
-	dests map[netip.AddrPort]*destBatch
+	dests []*destBatch // open frames; a datagram reaches a handful at most
 	free  []*destBatch
 }
 
@@ -28,17 +27,19 @@ type destBatch struct {
 }
 
 func newEgress(conn PacketConn, o *obs.Stripe) *egress {
-	return &egress{
-		conn:  conn,
-		o:     o,
-		dests: make(map[netip.AddrPort]*destBatch),
-	}
+	return &egress{conn: conn, o: o}
 }
 
 // send queues h toward ap, flushing the destination's frame first if it is
 // full. The op is not on the wire until the next flush.
 func (e *egress) send(h *wire.Header, ap netip.AddrPort) {
-	db := e.dests[ap]
+	var db *destBatch
+	for _, d := range e.dests {
+		if d.ap == ap {
+			db = d
+			break
+		}
+	}
 	if db == nil {
 		if n := len(e.free); n > 0 {
 			db = e.free[n-1]
@@ -48,7 +49,7 @@ func (e *egress) send(h *wire.Header, ap netip.AddrPort) {
 		}
 		db.ap = ap
 		db.w.Reset(db.store)
-		e.dests[ap] = db
+		e.dests = append(e.dests, db)
 	}
 	if !db.w.Append(h) {
 		e.flushDest(db)
@@ -73,9 +74,9 @@ func (e *egress) flushDest(db *destBatch) {
 // flushAll writes every destination's open frame and returns the
 // destination slots to the free list.
 func (e *egress) flushAll() {
-	for ap, db := range e.dests {
+	for _, db := range e.dests {
 		e.flushDest(db)
-		delete(e.dests, ap)
-		e.free = append(e.free, db)
 	}
+	e.free = append(e.free, e.dests...)
+	e.dests = e.dests[:0]
 }

@@ -105,73 +105,53 @@ func (s *Switch) PendingReleases(match func(uint32) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for key := range s.relPending {
-		if match(key.lock) {
+	for _, e := range s.live {
+		if e.phase == phaseReleasing && match(uint32(e.key.lock)) {
 			n++
 		}
 	}
 	return n
 }
 
-// PurgeClientState drops the per-(lock, txn) client tables — pending
+// PurgeClientState tombstones every per-(lock, txn) entry — pending
 // acquires, cached grants, pending releases — for every lock matching the
-// predicate, and tombstones the purged keys. Called on every chain member
-// after a shard's lock state is exported to another rack: the entries
-// describe state that now lives elsewhere, so answering retransmits from
-// them (or re-sending their grants) would speak for a lock this rack no
-// longer owns. The tombstones keep a chaos-delayed duplicate of a moved
+// predicate. Called on every chain member after a shard's lock state is
+// exported to another rack: the entries describe state that now lives
+// elsewhere, so answering retransmits from them (or re-sending their
+// grants) would speak for a lock this rack no longer owns. The tombstones keep a chaos-delayed duplicate of a moved
 // op from re-entering this rack before the map flip lands.
 func (s *Switch) PurgeClientState(match func(uint32) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key := range s.pending {
-		if match(key.lock) {
-			delete(s.pending, key)
-			s.markDone(key)
-		}
-	}
-	for key := range s.granted {
-		if match(key.lock) {
-			delete(s.granted, key)
-			s.markDone(key)
-		}
-	}
-	for key := range s.relPending {
-		if match(key.lock) {
-			delete(s.relPending, key)
-			s.markDone(key)
+	for i := len(s.live) - 1; i >= 0; i-- { // markDone moves the last entry to i
+		if e := s.live[i]; match(uint32(e.key.lock)) {
+			s.markDone(e.key, e)
 		}
 	}
 }
 
-// ImportClientState seeds the client tables for one queue entry imported
-// from another rack, on this member. A granted entry enters the grant
-// cache under a reconstructed grant header — acquire retransmits are
-// answered from it, the release path runs the data plane exactly once,
-// and the sweep re-sends the grant until its release — and a waiter
-// enters the pending table so its eventual grant is delivered. hdr is the
-// original acquire header carried by the migration (client address
-// stamped); leaseNs is the expiry already rebased to this rack's clock.
+// ImportClientState seeds the per-op table for one queue entry imported
+// from another rack, on this member, replacing any tombstone of the key. A
+// granted entry caches a reconstructed grant header — acquire retransmits
+// are answered from it, the release path runs the data plane exactly once,
+// and the sweep re-sends the grant until its release — and a waiter is
+// pending so its eventual grant is delivered. hdr is the original acquire
+// header carried by the migration (client address stamped); leaseNs is the
+// expiry already rebased to this rack's clock.
 // Installed on every chain member before the map flip exposes the shard,
 // so the tables are replicated like any sequenced op's effects.
 func (s *Switch) ImportClientState(granted bool, hdr *wire.Header, leaseNs int64) {
 	addr := clientAddrOf(hdr)
-	key := pendKey{hdr.LockID, hdr.TxnID}
+	key := keyOf(hdr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.done, key)
-	if granted {
-		gh := *hdr
-		gh.Op = wire.OpGrant
-		gh.Flags = 0
-		gh.LeaseNs = leaseNs
-		delete(s.pending, key)
-		s.granted[key] = grantEntry{hdr: gh, addr: addr, sentNs: s.now()}
+	if !granted {
+		s.setPending(key, addr)
 		return
 	}
-	p := pendingReq{addr: addr}
-	if s.o.Enabled() {
-		p.sentNs = s.now()
-	}
-	s.pending[key] = p
+	e := s.liveOp(key)
+	e.phase, e.addr, e.sentNs, e.hdr = phaseGranted, addr, s.now(), *hdr
+	e.hdr.Op = wire.OpGrant
+	e.hdr.Flags = 0
+	e.hdr.LeaseNs = leaseNs
 }

@@ -8,7 +8,7 @@
 // its data plane or forwards it to the lock server responsible for the
 // lock, and grants flow back through the switch to the client. Since grant
 // notifications can be emitted long after the request packet (when a queued
-// lock is granted by someone else's release), the switch keeps a pending
+// lock is granted by someone else's release), the switch keeps a per-op
 // table mapping (lock, transaction) to the requester's UDP address.
 //
 // Every node sends wire batch frames (wire.BatchWriter) holding up to
@@ -64,31 +64,13 @@ type Switch struct {
 
 	mu      sync.Mutex
 	servers []netip.AddrPort
-	// pending maps an acquire awaiting its grant to the requester.
-	pending map[pendKey]pendingReq
-	// granted caches delivered grants until their release completes, for
-	// three duties: answering acquire retransmits whose grant was lost
-	// without re-entering the data plane, gating the data plane to
-	// exactly one release per grant, and re-sending undelivered grants
-	// from the sweep (the release is the delivery ack; a live client
-	// auto-releases a grant it no longer has an op for).
-	granted map[pendKey]grantEntry
-	// relPending maps a release forwarded to a lock server (not yet
-	// acked) to the client awaiting the ack. While an entry exists,
-	// client retransmits of that release only refresh the address.
-	relPending map[pendKey]netip.AddrPort
-	// done tombstones recently completed (lock, txn) keys. A
-	// network-delayed duplicate of an acquire whose whole cycle already
-	// finished finds pending and granted empty, so without the tombstone
-	// it would re-enter the rack as a fresh request and leave a ghost
-	// holder wedging the lock — the grant-re-send/auto-release recovery
-	// above only works while the duplicate's owner keeps answering.
-	// Recorded in the apply path, so every chain member (and any future
-	// head) shares the window; doneRing bounds it by evicting the oldest
-	// key. Txn IDs are drawn once per op from per-client disjoint random
-	// ranges, so a completed key never returns legitimately.
-	done     map[pendKey]struct{}
-	doneRing []pendKey
+	// ops is the per-(lock, txn) dedup table. live lists the entries not
+	// in phase done, so walks skip the tombstones; doneRing bounds those by
+	// evicting the oldest completed key. Entries recycle through opFree.
+	ops      map[opKey]*opEntry
+	live     []*opEntry
+	opFree   []*opEntry
+	doneRing []opKey
 	doneNext int
 	eg       *egress
 
@@ -124,27 +106,47 @@ type Switch struct {
 	closed chan struct{}
 }
 
-type pendKey struct {
-	lock uint32
-	txn  uint64
-}
+// opKey identifies one op. The lock belongs in the key because external
+// bare-header senders may reuse a txn across locks; both fields are 64-bit
+// so the key has no padding and hashes in one pass.
+type opKey struct{ txn, lock uint64 }
 
-// pendingReq remembers an acquire awaiting its grant: the requester's UDP
-// address and, when observability is on, the arrival instant — the
-// switch's view of end-to-end acquire latency runs from here to grant
-// delivery.
-type pendingReq struct {
-	addr   netip.AddrPort
+func keyOf(h *wire.Header) opKey { return opKey{h.TxnID, uint64(h.LockID)} }
+
+// opPhase is where an op stands in its acquire/release cycle; every chain
+// member moves it identically, in the apply path.
+type opPhase uint8
+
+const (
+	// phasePending: an acquire awaits its grant. sentNs (observability on)
+	// is its arrival, from which the switch times end-to-end latency.
+	phasePending opPhase = iota
+	// phaseGranted: hdr caches the delivered grant until the release
+	// completes: acquire retransmits whose grant was lost are answered from
+	// it without the data plane, exactly one release per grant reaches the
+	// data plane, and the sweep re-sends it (the release is the delivery
+	// ack). sentNs is the last delivery attempt (data-plane clock).
+	phaseGranted
+	// phaseReleasing: the release was forwarded to a lock server and ackTo
+	// awaits its ack; the grant stays cached.
+	phaseReleasing
+	// phaseDone: a tombstone. A network-delayed duplicate of an acquire
+	// whose cycle finished would otherwise re-enter the rack and leave a
+	// ghost holder wedging the lock. Txn IDs are drawn once per op from
+	// per-client disjoint random ranges, so a done key never returns
+	// legitimately.
+	phaseDone
+)
+
+// opEntry is one op's dedup state; while not done it is s.live[live].
+type opEntry struct {
+	key    opKey
+	phase  opPhase
+	live   int
+	addr   netip.AddrPort // the requester, then the holder
+	ackTo  netip.AddrPort
 	sentNs int64
-}
-
-// grantEntry is one delivered-but-unreleased grant: the cached grant
-// header, the holder's address, and the last delivery attempt (data-plane
-// clock) for re-send pacing.
-type grantEntry struct {
 	hdr    wire.Header
-	addr   netip.AddrPort
-	sentNs int64
 }
 
 // grantResendNs paces the sweep's re-send of un-released grants. Held
@@ -190,16 +192,13 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		cfg.DataPlane.Now = func() int64 { return int64(time.Since(start)) }
 	}
 	s := &Switch{
-		conn:       conn,
-		dp:         switchdp.New(cfg.DataPlane),
-		o:          cfg.DataPlane.Obs,
-		pending:    make(map[pendKey]pendingReq),
-		granted:    make(map[pendKey]grantEntry),
-		relPending: make(map[pendKey]netip.AddrPort),
-		migStage:   make(map[uint32]*migStaging),
-		done:       make(map[pendKey]struct{}),
-		doneRing:   make([]pendKey, doneWindow),
-		closed:     make(chan struct{}),
+		conn:     conn,
+		dp:       switchdp.New(cfg.DataPlane),
+		o:        cfg.DataPlane.Obs,
+		ops:      make(map[opKey]*opEntry),
+		migStage: make(map[uint32]*migStaging),
+		doneRing: make([]opKey, doneWindow),
+		closed:   make(chan struct{}),
 	}
 	s.eg = newEgress(conn, s.o)
 	s.chain = chainState{head: true, tail: true}
@@ -264,16 +263,12 @@ func (s *Switch) sweepLoop(interval time.Duration) {
 					s.eg.send(&h, s.serverFor(h.LockID))
 				}
 				now := s.now()
-				for key, g := range s.granted {
-					if _, releasing := s.relPending[key]; releasing {
+				for _, e := range s.live {
+					if e.phase != phaseGranted || now-e.sentNs < grantResendNs {
 						continue
 					}
-					if now-g.sentNs < grantResendNs {
-						continue
-					}
-					g.sentNs = now
-					s.granted[key] = g
-					s.eg.send(&g.hdr, g.addr)
+					e.sentNs = now
+					s.eg.send(&e.hdr, e.addr)
 				}
 			}
 			s.chainHeal()
@@ -324,15 +319,24 @@ type SwitchSnapshot struct {
 func (s *Switch) Snapshot() SwitchSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SwitchSnapshot{
-		Stats:           s.dp.Stats(),
-		ResidentLocks:   len(s.dp.CtrlResidentLocks()),
-		SlotsInUse:      s.dp.CtrlSlotsInUse(),
-		FreeEntries:     s.dp.CtrlFreeEntries(),
-		PendingAcquires: len(s.pending),
-		TrackedGrants:   len(s.granted),
-		PendingReleases: len(s.relPending),
+	snap := SwitchSnapshot{
+		Stats:         s.dp.Stats(),
+		ResidentLocks: len(s.dp.CtrlResidentLocks()),
+		SlotsInUse:    s.dp.CtrlSlotsInUse(),
+		FreeEntries:   s.dp.CtrlFreeEntries(),
 	}
+	for _, e := range s.live {
+		switch e.phase {
+		case phasePending:
+			snap.PendingAcquires++
+		case phaseReleasing:
+			snap.PendingReleases++
+			fallthrough
+		case phaseGranted:
+			snap.TrackedGrants++
+		}
+	}
+	return snap
 }
 
 // Close stops the node.
@@ -499,44 +503,33 @@ func (s *Switch) headIngress(origin wire.ChainOrigin, h *wire.Header, from netip
 // headAcquire processes a client acquire, deduplicating retransmits.
 // Caller holds s.mu.
 func (s *Switch) headAcquire(h *wire.Header, from netip.AddrPort) {
-	key := pendKey{h.LockID, h.TxnID}
-	if g, ok := s.granted[key]; ok {
-		// Retransmit of an acquire whose grant (or everything since) was
-		// lost: answer from the cache. The data plane must not see the
-		// duplicate — it would enqueue a ghost holder.
+	if e := s.ops[keyOf(h)]; e != nil {
 		if from.IsValid() {
-			g.addr = from
+			e.addr = from // a tombstone's address is never read
 		}
-		g.sentNs = s.now()
-		s.granted[key] = g
-		s.eg.send(&g.hdr, g.addr)
-		return
-	}
-	if p, ok := s.pending[key]; ok {
-		// Retransmit of a still-queued acquire. For a switch-resident
-		// lock the request is already queued in the data plane: refresh
-		// the return address only. For a server-owned lock the forward
-		// leg (tail→server) or its grant may have been lost — to the
-		// in-rack network or to a failed chain member — so re-sequence
-		// the acquire end to end. The server deduplicates by (lock, txn)
-		// and re-emits granted entries, so re-forwarding on every
-		// retransmit is a self-healing no-op in the common case.
-		if from.IsValid() {
-			p.addr = from
+		switch e.phase {
+		case phaseGranted, phaseReleasing:
+			// Retransmit of an acquire whose grant (or everything since)
+			// was lost: answer from the cache. The data plane must not see
+			// the duplicate — it would enqueue a ghost holder.
+			e.sentNs = s.now()
+			s.eg.send(&e.hdr, e.addr)
+		case phasePending:
+			// Retransmit of a still-queued acquire. For a switch-resident
+			// lock the request is already queued in the data plane:
+			// refresh the return address only. For a server-owned lock the
+			// forward leg (tail→server) or its grant may have been lost —
+			// to the in-rack network or to a failed chain member — so
+			// re-sequence the acquire end to end. The server deduplicates
+			// by (lock, txn) and re-emits granted entries, so re-forwarding
+			// on every retransmit is a self-healing no-op in the common
+			// case.
+			if !s.dp.CtrlHasLock(h.LockID) {
+				s.stampClient(h, from)
+				s.sequence(wire.OriginClient, h)
+			}
 		}
-		if !s.dp.CtrlHasLock(h.LockID) {
-			s.stampClient(h, from)
-			s.sequence(wire.OriginClient, h)
-			return
-		}
-		s.pending[key] = p
-		return
-	}
-	if _, ok := s.done[key]; ok {
-		// Delayed duplicate of an acquire whose whole cycle already
-		// completed: the client is done with this txn, so drop it —
-		// admitting it would enqueue a ghost holder.
-		return
+		return // phaseDone: a late duplicate would be a ghost holder
 	}
 	if s.chain.meterAtHead && !s.dp.CtrlMeterAdmit(h.TenantID) {
 		// Chain-mode quota check, decided once before sequencing: the
@@ -557,15 +550,15 @@ func (s *Switch) headAcquire(h *wire.Header, from netip.AddrPort) {
 // headRelease applies the at-most-one-data-plane-release rule to a client
 // release. Caller holds s.mu.
 func (s *Switch) headRelease(h *wire.Header, from netip.AddrPort) {
-	key := pendKey{h.LockID, h.TxnID}
-	if _, ok := s.relPending[key]; ok {
+	e := s.ops[keyOf(h)]
+	if e != nil && e.phase == phaseReleasing {
 		// Client retransmit while the forwarded release is still at its
 		// server: refresh the ack address. If the lock is server-owned
 		// the forward (or its ack) may have been lost, so re-sequence it
 		// — the server matches releases by txn and counts an
 		// already-applied one as a duplicate no-op.
 		if from.IsValid() {
-			s.relPending[key] = from
+			e.ackTo = from
 		}
 		if !s.dp.CtrlHasLock(h.LockID) {
 			s.stampClient(h, from)
@@ -573,7 +566,7 @@ func (s *Switch) headRelease(h *wire.Header, from netip.AddrPort) {
 		}
 		return
 	}
-	if _, held := s.granted[key]; !held {
+	if e == nil || e.phase != phaseGranted {
 		// Duplicate of a completed release, or a release for a hold the
 		// lease sweep already reclaimed: ack idempotently without
 		// touching the data plane.
@@ -587,12 +580,12 @@ func (s *Switch) headRelease(h *wire.Header, from netip.AddrPort) {
 }
 
 // applyOp applies one sequenced operation to this member's replicated
-// state: the data plane plus the pending/granted/relPending dedup tables.
+// state: the data plane plus the per-op dedup table.
 // Every chain member executes the identical op stream through this
 // function; only the tail's client- and server-bound sends are externally
 // visible. Caller holds s.mu.
 func (s *Switch) applyOp(origin wire.ChainOrigin, h *wire.Header) {
-	key := pendKey{h.LockID, h.TxnID}
+	key := keyOf(h)
 	switch h.Op {
 	case wire.OpMigrate:
 		s.applyMigrate(h)
@@ -602,10 +595,9 @@ func (s *Switch) applyOp(origin wire.ChainOrigin, h *wire.Header) {
 	case wire.OpReleaseAck:
 		// The owning server consumed a forwarded release: complete the
 		// end-to-end ack.
-		if to, ok := s.relPending[key]; ok {
-			delete(s.relPending, key)
-			delete(s.granted, key)
-			s.markDone(key)
+		if e := s.ops[key]; e != nil && e.phase == phaseReleasing {
+			to := e.ackTo
+			s.markDone(key, e)
 			s.emitToClient(h, to)
 		}
 	case wire.OpRelease:
@@ -624,11 +616,7 @@ func (s *Switch) applyOp(origin wire.ChainOrigin, h *wire.Header) {
 			s.process(h)
 			return
 		}
-		p := pendingReq{addr: clientAddrOf(h)}
-		if s.o.Enabled() {
-			p.sentNs = s.now()
-		}
-		s.pending[key] = p
+		s.setPending(key, clientAddrOf(h))
 		s.process(h)
 	case wire.OpPush:
 		// Same ghost-duplicate guard for the overflow replay path: a
@@ -650,24 +638,83 @@ func (s *Switch) applyOp(origin wire.ChainOrigin, h *wire.Header) {
 	}
 }
 
-// markDone tombstones a completed (lock, txn) key so late duplicates of
-// its acquire are dropped at head ingress instead of re-entering the rack
-// as ghost holders. Runs in the apply path: every chain member records the
-// identical window. Caller holds s.mu.
-func (s *Switch) markDone(key pendKey) {
-	if _, ok := s.done[key]; ok {
+// liveOp returns key's entry, from the free list if new, listed live for
+// the caller to set a live phase on. Caller holds s.mu.
+func (s *Switch) liveOp(key opKey) *opEntry {
+	e := s.ops[key]
+	switch {
+	case e == nil:
+		if n := len(s.opFree); n > 0 {
+			e, s.opFree = s.opFree[n-1], s.opFree[:n-1]
+			*e = opEntry{key: key}
+		} else {
+			e = &opEntry{key: key}
+		}
+		s.ops[key] = e
+	case e.phase != phaseDone:
+		return e
+	}
+	e.live = len(s.live)
+	s.live = append(s.live, e)
+	return e
+}
+
+// unlist removes e from the live list. Caller holds s.mu.
+func (s *Switch) unlist(e *opEntry) {
+	last := s.live[len(s.live)-1]
+	last.live = e.live
+	s.live[e.live] = last
+	s.live = s.live[:len(s.live)-1]
+}
+
+// setPending records an acquire awaiting its grant for the requester at
+// addr. Caller holds s.mu.
+func (s *Switch) setPending(key opKey, addr netip.AddrPort) {
+	e := s.liveOp(key)
+	e.phase, e.addr, e.sentNs = phasePending, addr, 0
+	if s.o.Enabled() {
+		e.sentNs = s.now()
+	}
+}
+
+// markDone tombstones key (e is its entry, nil if none). Runs in the apply
+// path: every chain member records the identical window. Caller holds s.mu.
+func (s *Switch) markDone(key opKey, e *opEntry) {
+	if e == nil {
+		e = s.liveOp(key)
+	} else if e.phase == phaseDone {
 		return
 	}
-	if old := s.doneRing[s.doneNext]; old != (pendKey{}) {
-		delete(s.done, old)
+	// Evict only a tombstone: ImportClientState may have revived the key.
+	if old := s.doneRing[s.doneNext]; old != (opKey{}) {
+		if oe := s.ops[old]; oe != nil && oe.phase == phaseDone {
+			delete(s.ops, old)
+			s.opFree = append(s.opFree, oe)
+		}
 	}
+	s.unlist(e)
+	e.phase = phaseDone
 	s.doneRing[s.doneNext] = key
 	s.doneNext = (s.doneNext + 1) % len(s.doneRing)
-	s.done[key] = struct{}{}
+}
+
+// endHold tombstones key once its release has been applied and returns the
+// client a forwarded release owes an ack to (invalid if none). A pending
+// acquire is left to await its grant. Caller holds s.mu.
+func (s *Switch) endHold(key opKey) (ackTo netip.AddrPort) {
+	e := s.ops[key]
+	if e != nil && e.phase == phasePending {
+		return ackTo
+	}
+	if e != nil && e.phase == phaseReleasing {
+		ackTo = e.ackTo
+	}
+	s.markDone(key, e)
+	return ackTo
 }
 
 // applyRelease applies one sequenced release by origin. Caller holds s.mu.
-func (s *Switch) applyRelease(origin wire.ChainOrigin, h *wire.Header, key pendKey) {
+func (s *Switch) applyRelease(origin wire.ChainOrigin, h *wire.Header, key opKey) {
 	switch origin {
 	case wire.OriginServer:
 		// Bounced across a server-to-switch move: the data plane owns the
@@ -680,54 +727,40 @@ func (s *Switch) applyRelease(origin wire.ChainOrigin, h *wire.Header, key pendK
 		// copy would dequeue whoever holds the lock now. Admit a bounce
 		// only if the releasing transaction is actually queued here;
 		// otherwise its hold is already gone — finish idempotently.
-		if s.dp.CtrlHasLock(h.LockID) && !s.dp.CtrlHasTxn(h.LockID, h.TxnID) {
-			delete(s.granted, key)
-			s.markDone(key)
-			if to, ok := s.relPending[key]; ok {
-				delete(s.relPending, key)
-				s.ackReleaseTail(h, to)
-			}
-			return
-		}
-		if s.processRelease(h, key) {
+		gone := s.dp.CtrlHasLock(h.LockID) && !s.dp.CtrlHasTxn(h.LockID, h.TxnID)
+		if !gone && s.processRelease(h) {
 			return // forwarded onward again; ack still pending
 		}
-		delete(s.granted, key)
-		s.markDone(key)
-		if to, ok := s.relPending[key]; ok {
-			delete(s.relPending, key)
-			s.ackReleaseTail(h, to)
-		}
+		s.ackReleaseTail(h, s.endHold(key))
 	case wire.OriginCtrl:
 		// The head's lease sweep reclaimed this hold; drop its grant
 		// cache so a late client release acks idempotently instead of
 		// releasing whoever holds the lock next. The hold's owner is
 		// presumed gone, so its late duplicates are tombstoned too.
-		delete(s.granted, key)
-		delete(s.relPending, key)
-		s.markDone(key)
+		s.endHold(key)
 		s.process(h)
 	default:
-		// Client release, already vetted by the head's dedup tables.
-		if s.processRelease(h, key) {
-			s.relPending[key] = clientAddrOf(h) // the owning server will ack
+		// Client release, already vetted by the head's dedup table.
+		if s.processRelease(h) {
+			e := s.liveOp(key)
+			e.phase = phaseReleasing
+			e.ackTo = clientAddrOf(h) // the owning server will ack
 			return
 		}
-		delete(s.granted, key)
-		s.markDone(key)
+		s.endHold(key)
 		s.ackReleaseTail(h, clientAddrOf(h))
 	}
 }
 
 // processRelease runs one release through the data plane and reports
 // whether it was forwarded onward to a lock server. Caller holds s.mu.
-func (s *Switch) processRelease(h *wire.Header, key pendKey) bool {
+func (s *Switch) processRelease(h *wire.Header) bool {
 	emits, _ := s.dp.ProcessPacket(h)
 	forwarded := false
 	for i := range emits {
 		e := &emits[i]
 		if e.Action == switchdp.ActForward && e.Hdr.Op == wire.OpRelease &&
-			e.Hdr.LockID == key.lock && e.Hdr.TxnID == key.txn {
+			e.Hdr.LockID == h.LockID && e.Hdr.TxnID == h.TxnID {
 			forwarded = true
 		}
 		s.routeEmit(e)
@@ -783,25 +816,32 @@ func (s *Switch) routeEmit(e *switchdp.Emit) {
 	}
 }
 
-// deliverToClient forwards a grant/reject to the requester recorded in the
-// pending table. Caller holds s.mu.
+// deliverToClient forwards a grant/reject to the requester of a pending
+// acquire. Caller holds s.mu.
 func (s *Switch) deliverToClient(h *wire.Header) {
-	key := pendKey{h.LockID, h.TxnID}
-	to, ok := s.pending[key]
-	if !ok {
+	key := keyOf(h)
+	e := s.ops[key]
+	if e == nil || e.phase != phasePending {
 		return // duplicate or expired
 	}
-	delete(s.pending, key)
-	if h.Op != wire.OpReject {
+	to := e.addr
+	if h.Op == wire.OpReject {
+		s.unlist(e)
+		delete(s.ops, key)
+		s.opFree = append(s.opFree, e)
+	} else {
 		// Cache the grant until its release completes: acquire
 		// retransmits are answered from here, and the sweep re-sends it
 		// until the release acknowledges delivery.
-		s.granted[key] = grantEntry{hdr: *h, addr: to.addr, sentNs: s.now()}
-		if to.sentNs != 0 {
-			s.o.Observe(obs.StageAcquireE2E, s.now()-to.sentNs)
+		arrived := e.sentNs
+		e.phase = phaseGranted
+		e.hdr = *h
+		e.sentNs = s.now()
+		if arrived != 0 {
+			s.o.Observe(obs.StageAcquireE2E, e.sentNs-arrived)
 		}
 	}
-	s.emitToClient(h, to.addr)
+	s.emitToClient(h, to)
 }
 
 // Server is a NetLock lock-server node on a UDP socket.

@@ -113,8 +113,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Valid reports whether the op is a defined NetLock operation.
-func (o Op) Valid() bool { _, ok := opNames[o]; return ok }
+// Valid reports whether the op is a defined NetLock operation. The ops are
+// numbered contiguously, so this is a range check, not a table lookup.
+func (o Op) Valid() bool { return o >= OpAcquire && o <= OpWrongRack }
 
 // Mode is the lock mode requested.
 type Mode uint8

@@ -123,6 +123,18 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
+// TestOpValidMatchesNames: Valid is a range check, so an op appended
+// without widening the range (or a gap in the numbering) must fail here.
+func TestOpValidMatchesNames(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		o := Op(b)
+		_, named := opNames[o]
+		if o.Valid() != named {
+			t.Errorf("Op(%d).Valid() = %v, but named = %v", b, o.Valid(), named)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Fatalf("mode strings wrong: %q %q", Shared.String(), Exclusive.String())
