@@ -192,6 +192,13 @@ const (
 	CtrFramesOut
 	// CtrOpsIn counts operations decoded from ingress datagrams.
 	CtrOpsIn
+	// CtrChainNacks counts gap nacks a chain member sent: an op arrived
+	// ahead of a gap and was dropped.
+	CtrChainNacks
+	// CtrChainReplayed counts chain op records re-sent to a successor (on
+	// a gap nack, from the heal sweep, or by a controller replay); in
+	// steady state every record crosses each link once and this stays 0.
+	CtrChainReplayed
 	// NumCounters is the number of defined counters.
 	NumCounters
 )
@@ -199,7 +206,7 @@ const (
 var counterNames = [NumCounters]string{
 	"acquires", "releases", "grants", "resubmits",
 	"overflows", "rejects", "lease_expiries", "failovers",
-	"frames_in", "frames_out", "ops_in",
+	"frames_in", "frames_out", "ops_in", "chain_nacks", "chain_replayed",
 }
 
 // String returns the counter's metric-name fragment.

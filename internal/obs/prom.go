@@ -31,6 +31,8 @@ var counterHelp = [NumCounters]string{
 	"NetLock datagrams received (batch frames and bare headers).",
 	"NetLock datagrams sent.",
 	"Operations decoded from ingress datagrams.",
+	"Chain gap nacks sent (an op arrived ahead of a gap and was dropped).",
+	"Chain op records re-sent to a successor (gap nack, heal sweep or controller replay).",
 }
 
 // WriteProm renders the snapshot in Prometheus text exposition format.

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"netlock/internal/obs"
 	"netlock/internal/wire"
 )
 
@@ -46,10 +47,12 @@ import (
 // Relaxations vs NetChain (documented in DESIGN.md §12): replication runs
 // over the same reliable in-rack assumption the q1/q2 protocol already
 // makes, with a nack-and-replay escape hatch (a gap triggers an immediate
-// ack carrying the receiver's applied prefix; senders also re-send a
-// stalled log from the sweep) instead of NetChain's per-link FIFO
-// guarantee; and chain frames ride the normal UDP sockets rather than
-// data-plane segment routing.
+// wire.ChainNack carrying the receiver's applied prefix, and the sender
+// re-sends its log above it; senders also re-send a stalled log from the
+// sweep) instead of NetChain's per-link FIFO guarantee; and chain frames
+// ride the normal UDP sockets rather than data-plane segment routing. As
+// in NetChain, each op crosses each link once while no frame is lost:
+// the tail's acks only prune logs, they never trigger a re-send.
 
 // chainState is a Switch's replication role. The zero value is completed
 // by NewSwitch to a single-member chain (head and tail, epoch 0), which
@@ -74,10 +77,12 @@ type chainState struct {
 	// meterAtHead moves per-tenant quota decisions out of the (replicated,
 	// clock-dependent) data plane into the head's ingress.
 	meterAtHead bool
-	// lastMoveNs is the data-plane clock at the last log append or prune,
-	// pacing the sweep's stalled-log re-send.
-	lastMoveNs int64
-	gapDrops   uint64
+	// lastMove is the sweep count at the last log append to an empty log,
+	// prune or heal, pacing the sweep's stalled-log re-send.
+	lastMove uint64
+	gapDrops uint64
+	nacks    uint64
+	replayed uint64
 	// egDests buffers outgoing chain records per destination so one
 	// ingress datagram's worth of sequenced ops leaves in one chain
 	// datagram — chain traffic batches at the same grain as client
@@ -93,8 +98,9 @@ type chainDest struct {
 }
 
 // chainHealNs paces the sweep's re-send of an un-acked log: the in-rack
-// fabric is reliable but a full inbox can still drop a frame, and an
-// unhealed gap would stall replication behind it.
+// fabric is reliable but a full inbox can still drop a frame. A lost frame
+// followed by more traffic is nacked at once; the sweep heals a frame lost
+// at the end of a burst (no later op reveals the gap) or a lost nack.
 const chainHealNs = int64(50 * time.Millisecond)
 
 // ChainRole is the chain membership a controller pushes to one Switch with
@@ -130,6 +136,11 @@ type ChainInfo struct {
 	// GapDrops counts envelopes dropped for arriving ahead of a gap; each
 	// triggered a nack and was healed by replay.
 	GapDrops uint64
+	// Nacks counts gap nacks sent (at most one per ingress frame).
+	Nacks uint64
+	// Replayed counts op records re-sent to the successor: on its nack,
+	// from the heal sweep, or by ChainReplay.
+	Replayed uint64
 }
 
 // ChainConfigure installs a new chain role, fencing the member to
@@ -188,6 +199,8 @@ func (s *Switch) ChainStatus() ChainInfo {
 		Head:     s.chain.head,
 		Tail:     s.chain.tail,
 		GapDrops: s.chain.gapDrops,
+		Nacks:    s.chain.nacks,
+		Replayed: s.chain.replayed,
 	}
 }
 
@@ -214,6 +227,8 @@ func (s *Switch) replayLocked(from uint64) {
 		}
 		m.Epoch = s.chain.epoch
 		s.sendChain(m, s.chain.succ)
+		s.chain.replayed++
+		s.o.Inc(obs.CtrChainReplayed)
 	}
 }
 
@@ -233,36 +248,38 @@ func (s *Switch) sequence(origin wire.ChainOrigin, h *wire.Header) {
 }
 
 // handleChain processes one ingress chain datagram: a concatenation of
-// self-delimiting chain records (acks are ChainHdrLen, ops and relays
-// ChainOpLen). Per-frame effects are coalesced — one tail ack covers
-// every op applied from the frame, one nack answers any number of gap
-// records, and incoming acks are folded to their highest prefix before
-// pruning or replaying — so batched chain traffic never amplifies.
-// Caller holds s.mu.
+// self-delimiting chain records (acks and nacks are ChainHdrLen, ops and
+// relays ChainOpLen). Acks only prune the replay log. Only a nack from the
+// successor re-sends it, from the nacked prefix up. Nacks do not prune:
+// a mid member's applied prefix is not yet committed at the tail, and
+// waitChainCommitted reads a pruned log as tail-committed.
+// Per-frame effects are coalesced — one tail ack covers every op applied
+// from the frame, one nack (sent after the frame, so it counts any gap
+// the frame itself filled) answers any number of gap records, and
+// incoming acks and nacks are each folded to their highest prefix — so
+// batched chain traffic never amplifies. Caller holds s.mu.
 func (s *Switch) handleChain(data []byte, from netip.AddrPort) {
-	applied := false
-	nacked := false
-	ackSeen := false
-	var ackMax uint64
+	applied, gap, nacked := false, false, false
+	var ackMax, nackMax uint64
 	for len(data) >= wire.ChainHdrLen {
 		var m wire.ChainMsg
 		if m.DecodeFromBytes(data) != nil {
 			break
 		}
-		if m.Kind == wire.ChainAck {
-			data = data[wire.ChainHdrLen:]
-		} else {
-			data = data[wire.ChainOpLen:]
+		data = data[m.Len():]
+		// Relays carry external ops, valid in any epoch; the
+		// replication records are fenced to ours.
+		if m.Epoch != s.chain.epoch && m.Kind != wire.ChainRelay {
+			continue
 		}
 		switch m.Kind {
 		case wire.ChainAck:
-			if m.Epoch != s.chain.epoch {
-				continue
+			ackMax = max(ackMax, m.Seq)
+		case wire.ChainNack:
+			if from == s.chain.succ {
+				nacked = true
+				nackMax = max(nackMax, m.Seq)
 			}
-			if !ackSeen || m.Seq > ackMax {
-				ackMax = m.Seq
-			}
-			ackSeen = true
 		case wire.ChainRelay:
 			// A stale member forwarded external ingress to us. Only the
 			// head sequences; relays are never re-relayed (bounds routing
@@ -270,23 +287,19 @@ func (s *Switch) handleChain(data []byte, from netip.AddrPort) {
 			if !s.chain.head {
 				continue
 			}
-			h := m.Hdr
-			s.headIngress(m.Origin, &h, clientAddrOf(&h))
+			s.headIngress(m.Origin, &m.Hdr, clientAddrOf(&m.Hdr))
 		case wire.ChainOp:
-			if m.Epoch != s.chain.epoch || s.chain.head {
+			if s.chain.head {
 				continue
 			}
 			switch {
 			case m.Seq <= s.chain.seq:
 				continue // duplicate (replay overlap)
 			case m.Seq != s.chain.seq+1:
-				// Gap: nack with our applied prefix so the sender replays
-				// the missing range; these ops will arrive again in order.
+				// Gap: drop the op and nack our applied prefix below so
+				// the sender replays the missing range in order.
 				s.chain.gapDrops++
-				if !nacked {
-					nacked = true
-					s.sendAckTo(from)
-				}
+				gap = true
 				continue
 			}
 			s.chain.seq = m.Seq
@@ -301,17 +314,18 @@ func (s *Switch) handleChain(data []byte, from netip.AddrPort) {
 			}
 		}
 	}
-	if ackSeen {
-		s.pruneLog(ackMax)
-		if from == s.chain.succ && ackMax < s.chain.seq {
-			// The successor is behind (a gap nack, or a stale ack racing
-			// live traffic): replay our log above its applied prefix.
-			s.replayLocked(ackMax)
-		}
+	if gap {
+		s.chain.nacks++
+		s.o.Inc(obs.CtrChainNacks)
+		s.sendPrefix(wire.ChainNack, from)
+	}
+	s.pruneLog(ackMax)
+	if nacked {
+		s.replayLocked(nackMax)
 	}
 	if applied && s.chain.tail {
 		for _, p := range s.chain.peers {
-			s.sendAckTo(p)
+			s.sendPrefix(wire.ChainAck, p)
 		}
 	}
 }
@@ -374,22 +388,19 @@ func (s *Switch) sendEpochTo(to, head netip.AddrPort) {
 	s.eg.send(&ann, to)
 }
 
-// chainHeal re-sends a stalled un-acked log from the sweep. Caller holds
-// s.mu.
-func (s *Switch) chainHeal() {
-	if len(s.chain.log) == 0 || !s.chain.succ.IsValid() {
+// chainHeal re-sends an un-acked log that has not moved for healSweeps
+// sweeps. Caller holds s.mu.
+func (s *Switch) chainHeal(healSweeps uint64) {
+	if len(s.chain.log) == 0 || !s.chain.succ.IsValid() || s.sweeps-s.chain.lastMove < healSweeps {
 		return
 	}
-	if s.now()-s.chain.lastMoveNs < chainHealNs {
-		return
-	}
-	s.chain.lastMoveNs = s.now()
+	s.chain.lastMove = s.sweeps
 	s.replayLocked(s.chain.log[0].Seq - 1)
 }
 
 func (s *Switch) logAppend(m *wire.ChainMsg) {
 	if len(s.chain.log) == 0 {
-		s.chain.lastMoveNs = s.now()
+		s.chain.lastMove = s.sweeps
 	}
 	s.chain.log = append(s.chain.log, *m)
 }
@@ -405,7 +416,7 @@ func (s *Switch) pruneLog(upto uint64) {
 	}
 	n := copy(log, log[i:])
 	s.chain.log = log[:n]
-	s.chain.lastMoveNs = s.now()
+	s.chain.lastMove = s.sweeps
 }
 
 // sendChain queues one chain record for to. Records are concatenated per
@@ -443,11 +454,10 @@ func (s *Switch) flushChain() {
 	}
 }
 
-func (s *Switch) sendAckTo(to netip.AddrPort) {
-	if !to.IsValid() {
-		return
-	}
-	m := wire.ChainMsg{Kind: wire.ChainAck, Epoch: s.chain.epoch, Seq: s.chain.seq}
+// sendPrefix queues an ack or nack carrying this member's applied prefix.
+// Caller holds s.mu.
+func (s *Switch) sendPrefix(kind wire.ChainKind, to netip.AddrPort) {
+	m := wire.ChainMsg{Kind: kind, Epoch: s.chain.epoch, Seq: s.chain.seq}
 	s.sendChain(&m, to)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -464,23 +465,42 @@ func rawChain(t *testing.T, p *probe, m *wire.ChainMsg, to string) {
 	}
 }
 
-// recvChain waits for the next chain frame of the given kind.
+// recvChain waits for the next chain record of the given kind.
 func (p *probe) recvChain(kind wire.ChainKind, d time.Duration) (wire.ChainMsg, bool) {
 	p.t.Helper()
+	ms := p.collectChain(kind, 1, d)
+	if len(ms) == 0 {
+		return wire.ChainMsg{}, false
+	}
+	return ms[0], true
+}
+
+// collectChain gathers chain records of the given kind, unpacking
+// multi-record datagrams, until it has n of them (n < 0: until d passes)
+// or d passes.
+func (p *probe) collectChain(kind wire.ChainKind, n int, d time.Duration) []wire.ChainMsg {
+	p.t.Helper()
+	var out []wire.ChainMsg
 	deadline := time.Now().Add(d)
 	buf := make([]byte, 2048)
-	for time.Now().Before(deadline) {
+	for len(out) != n && time.Now().Before(deadline) {
 		p.conn.SetReadDeadline(deadline)
-		n, _, err := p.conn.ReadFromUDPAddrPort(buf)
+		k, _, err := p.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			return wire.ChainMsg{}, false
+			break
 		}
-		var m wire.ChainMsg
-		if wire.IsChain(buf[:n]) && m.DecodeFromBytes(buf[:n]) == nil && m.Kind == kind {
-			return m, true
+		for data := buf[:k]; len(data) >= wire.ChainHdrLen; {
+			var m wire.ChainMsg
+			if m.DecodeFromBytes(data) != nil {
+				break
+			}
+			data = data[m.Len():]
+			if m.Kind == kind && len(out) != n {
+				out = append(out, m)
+			}
 		}
 	}
-	return wire.ChainMsg{}, false
+	return out
 }
 
 // soloMember starts one switch configured as a mid-chain member whose
@@ -488,18 +508,32 @@ func (p *probe) recvChain(kind wire.ChainKind, d time.Duration) (wire.ChainMsg, 
 // entire op stream and observes every forward.
 func soloMember(t *testing.T, p *probe) *Switch {
 	t.Helper()
+	return probeMember(t, p, false, 0)
+}
+
+// probeMember starts one switch whose successor is the probe: a mid
+// member whose predecessor is the probe too, or (head) the head of a
+// 2-member chain whose tail is the probe. sweep is its SweepInterval (0:
+// the default).
+func probeMember(t *testing.T, p *probe, head bool, sweep time.Duration) *Switch {
+	t.Helper()
 	srv, err := NewServer(ServerConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	sw, err := NewSwitch(SwitchConfig{Listen: "127.0.0.1:0", DataPlane: dpConfig(), Servers: []string{srv.Addr()}})
+	sw, err := NewSwitch(SwitchConfig{Listen: "127.0.0.1:0", DataPlane: dpConfig(),
+		Servers: []string{srv.Addr()}, SweepInterval: sweep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sw.Close() })
 	pa := p.conn.LocalAddr().String()
-	if err := sw.ChainConfigure(ChainRole{Epoch: 1, Succ: pa, HeadAddr: pa, Peers: []string{pa}}); err != nil {
+	r := ChainRole{Epoch: 1, Head: head, Succ: pa, Peers: []string{pa}}
+	if !head {
+		r.HeadAddr = pa
+	}
+	if err := sw.ChainConfigure(r); err != nil {
 		t.Fatal(err)
 	}
 	return sw
@@ -548,14 +582,14 @@ func TestChainDupAndGap(t *testing.T) {
 
 	// Gap: seq 3 before seq 2 nacks with Applied=1 and is not applied.
 	rawChain(t, p, chainOp(3, 3, 3), sw.Addr())
-	ack, ok := p.recvChain(wire.ChainAck, timeout)
+	nack, ok := p.recvChain(wire.ChainNack, timeout)
 	if !ok {
 		t.Fatal("gap did not nack")
 	}
-	if ack.Seq != 1 {
-		t.Fatalf("gap nack carries applied prefix %d, want 1", ack.Seq)
+	if nack.Seq != 1 {
+		t.Fatalf("gap nack carries applied prefix %d, want 1", nack.Seq)
 	}
-	if ci := sw.ChainStatus(); ci.Applied != 1 || ci.GapDrops == 0 {
+	if ci := sw.ChainStatus(); ci.Applied != 1 || ci.GapDrops == 0 || ci.Nacks != 1 {
 		t.Fatalf("gap handling: %+v", ci)
 	}
 
@@ -636,4 +670,140 @@ func TestLateDuplicateAcquireDropped(t *testing.T) {
 		}
 		run(t, sws, 6)
 	})
+}
+
+// chainBurst makes the member under test sequence or apply ops first..last
+// and returns their forwards to the probe: as a mid member it gets them
+// from the probe in one datagram; as a head it sequences one client
+// acquire per op, each on its own server-owned lock.
+func chainBurst(t *testing.T, p *probe, sw *Switch, head bool, first, last uint64) []wire.ChainMsg {
+	t.Helper()
+	var b []byte
+	client := newProbe(t)
+	for seq := first; seq <= last; seq++ {
+		if head {
+			client.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: uint32(seq), TxnID: seq}, sw.Addr())
+		} else {
+			b = chainOp(seq, uint32(seq), seq).AppendTo(b)
+		}
+	}
+	if !head {
+		p.write(b, sw.Addr())
+	}
+	n := int(last - first + 1)
+	got := p.collectChain(wire.ChainOp, n, timeout)
+	if len(got) != n {
+		t.Fatalf("member forwarded %d of %d ops", len(got), n)
+	}
+	return got
+}
+
+// wantSeqs fails unless ms carries exactly the sequence numbers want, in
+// order.
+func wantSeqs(t *testing.T, what string, ms []wire.ChainMsg, want ...uint64) {
+	t.Helper()
+	got := make([]uint64, len(ms))
+	for i := range ms {
+		got[i] = ms[i].Seq
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: seqs %v, want %v", what, got, want)
+	}
+}
+
+// eachSender runs f for the two members whose successor the probe can
+// play: a mid member, and the head of a 2-member chain.
+func eachSender(t *testing.T, f func(t *testing.T, head bool)) {
+	t.Run("mid", func(t *testing.T) { f(t, false) })
+	t.Run("head-of-2", func(t *testing.T) { f(t, true) })
+}
+
+// TestChainAckOnlyPrunes: an ack below the member's applied seq is the
+// ordinary state of a pipelined chain (newer ops are still in flight to
+// the tail); it prunes the log and re-sends nothing.
+func TestChainAckOnlyPrunes(t *testing.T) {
+	eachSender(t, func(t *testing.T, head bool) {
+		p := newProbe(t)
+		sw := probeMember(t, p, head, time.Hour) // no heal sweep
+		chainBurst(t, p, sw, head, 1, 3)
+		rawChain(t, p, &wire.ChainMsg{Kind: wire.ChainAck, Epoch: 1, Seq: 1}, sw.Addr())
+		waitStatus(t, sw, timeout, func(ci ChainInfo) bool { return ci.LogLen == 2 })
+		if again := p.collectChain(wire.ChainOp, -1, 100*time.Millisecond); len(again) != 0 {
+			t.Fatalf("ack re-sent %d ops", len(again))
+		}
+		if ci := sw.ChainStatus(); ci.Replayed != 0 {
+			t.Fatalf("ack counted a replay: %+v", ci)
+		}
+	})
+}
+
+// TestChainNackReplaysAbovePrefix: the successor's nack with applied
+// prefix p re-sends exactly the logged ops p+1..seq, in order, and prunes
+// nothing (p is not yet committed at the tail).
+func TestChainNackReplaysAbovePrefix(t *testing.T) {
+	eachSender(t, func(t *testing.T, head bool) {
+		p := newProbe(t)
+		sw := probeMember(t, p, head, time.Hour) // no heal sweep
+		chainBurst(t, p, sw, head, 1, 5)
+		rawChain(t, p, &wire.ChainMsg{Kind: wire.ChainNack, Epoch: 1, Seq: 2}, sw.Addr())
+		wantSeqs(t, "replay", p.collectChain(wire.ChainOp, -1, 200*time.Millisecond), 3, 4, 5)
+		if ci := sw.ChainStatus(); ci.Replayed != 3 || ci.LogLen != 5 {
+			t.Fatalf("after nack: %+v", ci)
+		}
+	})
+}
+
+// TestChainHealsBurstTailLoss: ops lost at the end of a burst leave no
+// later op to reveal the gap, so nobody nacks; the sweep re-sends the
+// un-acked log once it has not moved for chainHealNs.
+func TestChainHealsBurstTailLoss(t *testing.T) {
+	eachSender(t, func(t *testing.T, head bool) {
+		p := newProbe(t)
+		sw := probeMember(t, p, head, 0)
+		chainBurst(t, p, sw, head, 1, 2)
+		rawChain(t, p, &wire.ChainMsg{Kind: wire.ChainAck, Epoch: 1, Seq: 2}, sw.Addr())
+		waitStatus(t, sw, timeout, func(ci ChainInfo) bool { return ci.LogLen == 0 })
+
+		// Ops 3 and 4 reach the probe, which drops them as lost.
+		start := time.Now()
+		chainBurst(t, p, sw, head, 3, 4)
+		healed := p.collectChain(wire.ChainOp, 2, timeout)
+		elapsed := time.Since(start)
+		wantSeqs(t, "heal", healed, 3, 4)
+		// A sweep that runs late stamps the log one sweep early.
+		if min := time.Duration(chainHealNs) - 10*time.Millisecond; elapsed < min {
+			t.Fatalf("healed after %v, before %v", elapsed, min)
+		}
+		rawChain(t, p, &wire.ChainMsg{Kind: wire.ChainAck, Epoch: 1, Seq: 4}, sw.Addr())
+		ci := waitStatus(t, sw, timeout, func(ci ChainInfo) bool { return ci.LogLen == 0 })
+		if ci.Nacks != 0 || ci.Replayed < 2 {
+			t.Fatalf("heal counters: %+v", ci)
+		}
+	})
+}
+
+// TestGrantResendPacing: the tail re-sends an un-released grant once per
+// grantResendNs, paced by sweep counts: over one second with the default
+// 10 ms sweep that is 9 re-sends (every 11 sweeps). The bounds allow a
+// loaded host to run late sweeps; more than one re-send per
+// grantResendNs is a pacing bug.
+func TestGrantResendPacing(t *testing.T) {
+	sws, srv := chainRack(t, 1, dpConfig())
+	if err := installSwitchLock(sws[0], []*Server{srv}, 6, []switchdp.Region{{Left: 0, Right: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	p := newProbe(t)
+	p.send(&wire.Header{Op: wire.OpAcquire, Mode: wire.Exclusive, LockID: 6, TxnID: 61}, sws[0].Addr())
+	if _, ok := p.recv(wire.OpGrant, timeout); !ok {
+		t.Fatal("no grant")
+	}
+	resent := 0
+	for end := time.Now().Add(time.Second); ; resent++ {
+		if _, ok := p.recv(wire.OpGrant, time.Until(end)); !ok {
+			break
+		}
+	}
+	if resent < 6 || resent > int(time.Second/time.Duration(grantResendNs)) {
+		t.Fatalf("%d grant re-sends in 1s, want 6..10", resent)
+	}
 }

@@ -150,7 +150,7 @@ func (s *Switch) ImportClientState(granted bool, hdr *wire.Header, leaseNs int64
 		return
 	}
 	e := s.liveOp(key)
-	e.phase, e.addr, e.sentNs, e.hdr = phaseGranted, addr, s.now(), *hdr
+	e.phase, e.addr, e.sentSweep, e.hdr = phaseGranted, addr, s.sweeps, *hdr
 	e.hdr.Op = wire.OpGrant
 	e.hdr.Flags = 0
 	e.hdr.LeaseNs = leaseNs

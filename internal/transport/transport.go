@@ -93,6 +93,9 @@ type Switch struct {
 	// exactly like an unreplicated switch.
 	chain  chainState
 	selfAP netip.AddrPort
+	// sweeps counts control-plane sweeps. Re-sends (grants, the chain
+	// log) are paced by it, so the per-op path never reads the clock.
+	sweeps uint64
 
 	// Multi-rack fabric routing (see shard.go). smap is nil outside a
 	// fabric; smapFrame caches its encoding for wrong-rack bounces, and
@@ -118,14 +121,14 @@ func keyOf(h *wire.Header) opKey { return opKey{h.TxnID, uint64(h.LockID)} }
 type opPhase uint8
 
 const (
-	// phasePending: an acquire awaits its grant. sentNs (observability on)
-	// is its arrival, from which the switch times end-to-end latency.
+	// phasePending: an acquire awaits its grant. arrivedNs (observability
+	// on) is its arrival, from which the switch times end-to-end latency.
 	phasePending opPhase = iota
 	// phaseGranted: hdr caches the delivered grant until the release
 	// completes: acquire retransmits whose grant was lost are answered from
 	// it without the data plane, exactly one release per grant reaches the
 	// data plane, and the sweep re-sends it (the release is the delivery
-	// ack). sentNs is the last delivery attempt (data-plane clock).
+	// ack). sentSweep is the sweep count at the last delivery attempt.
 	phaseGranted
 	// phaseReleasing: the release was forwarded to a lock server and ackTo
 	// awaits its ack; the grant stays cached.
@@ -140,13 +143,14 @@ const (
 
 // opEntry is one op's dedup state; while not done it is s.live[live].
 type opEntry struct {
-	key    opKey
-	phase  opPhase
-	live   int
-	addr   netip.AddrPort // the requester, then the holder
-	ackTo  netip.AddrPort
-	sentNs int64
-	hdr    wire.Header
+	key       opKey
+	phase     opPhase
+	live      int
+	addr      netip.AddrPort // the requester, then the holder
+	ackTo     netip.AddrPort
+	arrivedNs int64
+	sentSweep uint64
+	hdr       wire.Header
 }
 
 // grantResendNs paces the sweep's re-send of un-released grants. Held
@@ -239,6 +243,12 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 // replica of the same state the head sees.
 func (s *Switch) sweepLoop(interval time.Duration) {
 	defer s.wg.Done()
+	// Sends are stamped with the sweep count. Waiting ceil(d/interval)+1
+	// sweeps re-sends at least d after the last send and less than
+	// d + 2×interval after it (d + interval when the interval divides d).
+	every := int64(interval)
+	grantSweeps := uint64((grantResendNs+every-1)/every) + 1
+	healSweeps := uint64((chainHealNs+every-1)/every) + 1
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -247,6 +257,7 @@ func (s *Switch) sweepLoop(interval time.Duration) {
 			return
 		case <-t.C:
 			s.mu.Lock()
+			s.sweeps++
 			if s.chain.head {
 				for _, h := range s.dp.CtrlScanExpired(s.now()) {
 					h := h
@@ -262,16 +273,15 @@ func (s *Switch) sweepLoop(interval time.Duration) {
 					h := h
 					s.eg.send(&h, s.serverFor(h.LockID))
 				}
-				now := s.now()
 				for _, e := range s.live {
-					if e.phase != phaseGranted || now-e.sentNs < grantResendNs {
+					if e.phase != phaseGranted || s.sweeps-e.sentSweep < grantSweeps {
 						continue
 					}
-					e.sentNs = now
+					e.sentSweep = s.sweeps
 					s.eg.send(&e.hdr, e.addr)
 				}
 			}
-			s.chainHeal()
+			s.chainHeal(healSweeps)
 			s.eg.flushAll()
 			s.flushChain()
 			s.mu.Unlock()
@@ -512,7 +522,7 @@ func (s *Switch) headAcquire(h *wire.Header, from netip.AddrPort) {
 			// Retransmit of an acquire whose grant (or everything since)
 			// was lost: answer from the cache. The data plane must not see
 			// the duplicate — it would enqueue a ghost holder.
-			e.sentNs = s.now()
+			e.sentSweep = s.sweeps
 			s.eg.send(&e.hdr, e.addr)
 		case phasePending:
 			// Retransmit of a still-queued acquire. For a switch-resident
@@ -671,9 +681,9 @@ func (s *Switch) unlist(e *opEntry) {
 // addr. Caller holds s.mu.
 func (s *Switch) setPending(key opKey, addr netip.AddrPort) {
 	e := s.liveOp(key)
-	e.phase, e.addr, e.sentNs = phasePending, addr, 0
+	e.phase, e.addr, e.arrivedNs = phasePending, addr, 0
 	if s.o.Enabled() {
-		e.sentNs = s.now()
+		e.arrivedNs = s.now()
 	}
 }
 
@@ -833,12 +843,11 @@ func (s *Switch) deliverToClient(h *wire.Header) {
 		// Cache the grant until its release completes: acquire
 		// retransmits are answered from here, and the sweep re-sends it
 		// until the release acknowledges delivery.
-		arrived := e.sentNs
 		e.phase = phaseGranted
 		e.hdr = *h
-		e.sentNs = s.now()
-		if arrived != 0 {
-			s.o.Observe(obs.StageAcquireE2E, e.sentNs-arrived)
+		e.sentSweep = s.sweeps
+		if e.arrivedNs != 0 {
+			s.o.Observe(obs.StageAcquireE2E, s.now()-e.arrivedNs)
 		}
 	}
 	s.emitToClient(h, to)

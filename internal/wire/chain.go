@@ -12,14 +12,17 @@ import (
 // chain wrapped in a ChainMsg; each member applies the same deterministic
 // op stream to its own data-plane replica, and only the tail emits
 // externally-visible packets. The tail acknowledges applied prefixes back
-// up the chain so members can prune their replay logs.
+// up the chain so members can prune their replay logs; a member that finds
+// a gap in its op stream nacks its applied prefix to the sender, which
+// re-sends the missing range. Acks only prune and nacks only trigger the
+// re-send, so each op crosses each link once unless a frame is lost.
 //
 // Layout (big-endian), disjoint from both the bare header (first byte =
 // Version) and batch frames (first byte = BatchMagic):
 //
 //	0  magic(1)=0xC7  version(1)=1  kind(1)  origin(1)
 //	4  epoch(8)
-//	12 seq(8)
+//	12 seq(8)            — ChainAck and ChainNack end here
 //	20 header(32)        — ChainOp and ChainRelay only
 const (
 	// ChainMagic is the first byte of every chain frame.
@@ -47,6 +50,10 @@ const (
 	// a non-head receiving one drops it, which bounds routing loops during
 	// reconfiguration.
 	ChainRelay
+	// ChainNack reports a gap: the receiver got an op past Seq+1, where
+	// Seq is its applied prefix, and dropped it. The sender re-sends its
+	// log above Seq. Same layout as ChainAck.
+	ChainNack
 )
 
 // ChainOrigin classifies who originated the op embedded in a chain frame.
@@ -93,10 +100,19 @@ func (m *ChainMsg) AppendTo(dst []byte) []byte {
 	binary.BigEndian.PutUint64(b[4:12], m.Epoch)
 	binary.BigEndian.PutUint64(b[12:20], m.Seq)
 	dst = append(dst, b[:]...)
-	if m.Kind != ChainAck {
+	if m.Len() == ChainOpLen {
 		dst = m.Hdr.AppendTo(dst)
 	}
 	return dst
+}
+
+// Len is the encoded length of m: ChainOpLen for ops and relays, which
+// embed a header, ChainHdrLen for acks and nacks.
+func (m *ChainMsg) Len() int {
+	if m.Kind == ChainOp || m.Kind == ChainRelay {
+		return ChainOpLen
+	}
+	return ChainHdrLen
 }
 
 // DecodeFromBytes parses a chain frame from data into m, overwriting all
@@ -112,16 +128,14 @@ func (m *ChainMsg) DecodeFromBytes(data []byte) error {
 		return fmt.Errorf("%w: %d", ErrBadVersion, data[1])
 	}
 	kind := ChainKind(data[2])
-	switch kind {
-	case ChainOp, ChainAck, ChainRelay:
-	default:
+	if kind < ChainOp || kind > ChainNack {
 		return fmt.Errorf("%w: %d", ErrBadChainKind, data[2])
 	}
 	m.Kind = kind
 	m.Origin = ChainOrigin(data[3])
 	m.Epoch = binary.BigEndian.Uint64(data[4:12])
 	m.Seq = binary.BigEndian.Uint64(data[12:20])
-	if kind == ChainAck {
+	if m.Len() == ChainHdrLen {
 		m.Hdr = Header{}
 		return nil
 	}
@@ -133,6 +147,8 @@ func (m *ChainMsg) String() string {
 	switch m.Kind {
 	case ChainAck:
 		return fmt.Sprintf("chain-ack epoch=%d applied=%d", m.Epoch, m.Seq)
+	case ChainNack:
+		return fmt.Sprintf("chain-nack epoch=%d applied=%d", m.Epoch, m.Seq)
 	case ChainRelay:
 		return fmt.Sprintf("chain-relay epoch=%d origin=%d {%s}", m.Epoch, m.Origin, m.Hdr.String())
 	default:

@@ -21,10 +21,11 @@ func TestChainRoundTrip(t *testing.T) {
 			ClientIP: netip.AddrFrom4([4]byte{10, 99, 0, 1}), ClientPort: 1,
 		}},
 		{Kind: ChainAck, Epoch: 4, Seq: 1 << 40},
+		{Kind: ChainNack, Epoch: 4, Seq: 7},
 	}
 	for _, want := range cases {
 		data := want.AppendTo(nil)
-		if want.Kind == ChainAck {
+		if want.Kind == ChainAck || want.Kind == ChainNack {
 			if len(data) != ChainHdrLen {
 				t.Fatalf("ack frame len = %d, want %d", len(data), ChainHdrLen)
 			}
