@@ -281,17 +281,14 @@ func (s *NetLockService) scheduleSweep() {
 }
 
 // scheduleAlloc runs the memory-management loop (§4.3): measure a window,
-// reallocate, and deliver any grants produced by server adoption.
+// reallocate, and deliver the grants its demotions produced.
 func (s *NetLockService) scheduleAlloc() {
 	s.tb.Eng.After(s.opts.AllocEveryNs, func() {
 		if !s.mgr.SwitchFailed() {
 			demands := s.mgr.MeasureDemands(float64(s.opts.AllocEveryNs) / 1e9)
-			rep := s.mgr.Reallocate(demands, s.opts.Allocator)
-			for _, e := range rep.Emits {
+			_, emits := s.mgr.Reallocate(demands, s.opts.Allocator)
+			for _, e := range emits {
 				s.routeServerEmit(e)
-			}
-			for _, h := range rep.SwitchPushes {
-				s.switchArrive(h)
 			}
 		}
 		s.scheduleAlloc()

@@ -8,11 +8,13 @@ import (
 	"netlock/internal/rebalance"
 )
 
-// Live region moves: unlike the drain-first protocol in Reallocate (§4.3
-// pause-and-move), these transfer a lock's occupied queue — granted bits
-// included — between switch and server in one control action, without
-// waiting for the queue to empty. The embedded manager is single-threaded,
-// so the export+import pair is atomic from the data path's point of view;
+// Live region moves: the one way a lock changes sides on the embedded
+// plane. They transfer a lock's occupied queue — granted bits included —
+// between switch and server in one control action, without waiting for
+// the queue to empty, where the paper (§4.3) pauses the lock and waits.
+// Reallocate, PreinstallLock, the rebalancer, AddServer and DrainServer
+// all move locks this way. The embedded manager is single-threaded, so
+// the export+import pair is atomic from the data path's point of view;
 // the UDP transport reproduces the same sequence with epoch-fenced chain
 // messages (internal/transport).
 

@@ -9,8 +9,8 @@
 //     lock IDs across them;
 //   - the memory-management control loop (§4.3): measure per-lock request
 //     rates and contention, run the optimal knapsack allocation
-//     (internal/memalloc, Algorithm 3), and migrate locks between switch
-//     and servers with the drain-first protocol;
+//     (internal/memalloc, Algorithm 3), and move locks between switch and
+//     servers live, queue state intact (livemove.go);
 //   - region bookkeeping in the shared queue, including the periodic
 //     compaction that alleviates fragmentation;
 //   - failure handling (§4.5): switch reset and reactivation, lease sweeps.
@@ -30,6 +30,7 @@ import (
 	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
 	"netlock/internal/obs"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -44,15 +45,6 @@ type Config struct {
 	Switch switchdp.Config
 	// Servers is the number of lock servers in the rack.
 	Servers int
-	// PauseBusyMoves enables the paper's pause-and-move protocol (§4.3)
-	// for locks that never drain: after several deferred rounds the lock
-	// is paused at its server (new requests buffer) until its queue
-	// empties and the move completes. Pausing stalls the lock's
-	// requesters for up to a control round, and only a later Reallocate
-	// round completes or aborts the move, so it needs a caller that keeps
-	// ticking Reallocate; the evaluation testbed leaves it off and simply
-	// defers until the lock idles.
-	PauseBusyMoves bool
 	// ServerConfig configures each lock server; Priorities is forced to
 	// match the switch.
 	ServerConfig lockserver.Config
@@ -75,16 +67,6 @@ type Manager struct {
 	// layout records the shared-queue regions each resident lock occupies,
 	// one per priority bank.
 	layout *Layout
-
-	// pendingMoves tracks locks whose move to the switch is draining at
-	// their server (paused, §4.3); every Reallocate round either completes
-	// or aborts them, so buffered requesters can never be stranded.
-	pendingMoves   map[uint32]uint64
-	movesStarted   int
-	moveAbortEmits []lockserver.Emit
-	// deferStreak counts consecutive rounds an install was deferred
-	// because the lock never drained; only stubborn locks get paused.
-	deferStreak map[uint32]int
 
 	swFailed bool
 }
@@ -111,12 +93,10 @@ func New(cfg Config) *Manager {
 	}
 	sw := switchdp.New(cfg.Switch)
 	m := &Manager{
-		cfg:          cfg,
-		sw:           sw,
-		route:        lockserver.NewRouting(cfg.Servers),
-		layout:       NewLayout(sw.Banks(), uint64(sw.BankSlots())),
-		pendingMoves: make(map[uint32]uint64),
-		deferStreak:  make(map[uint32]int),
+		cfg:    cfg,
+		sw:     sw,
+		route:  lockserver.NewRouting(cfg.Servers),
+		layout: NewLayout(sw.Banks(), uint64(sw.BankSlots())),
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		m.servers = append(m.servers, lockserver.New(cfg.ServerConfig))
@@ -155,233 +135,89 @@ func (m *Manager) MeasureDemands(windowSec float64) []memalloc.Demand {
 	return MergeDemands(windowSec, m.sw.CtrlMeasure(), srv)
 }
 
-// Report summarizes one reallocation round.
-type Report struct {
-	Installed []uint32
-	Removed   []uint32
-	Resized   []uint32
-	// Deferred locks could not be migrated this round because their queues
-	// were not drained; the next round retries (§4.3 pauses and waits; the
-	// control loop instead retries on the next window).
-	Deferred []uint32
-	// Emits are grant packets produced when server adoption processed
-	// buffered requests; the caller must deliver them.
-	Emits []lockserver.Emit
-	// SwitchPushes are requests that were buffered at a server while a
-	// hot lock's move drained (§4.3 pause-and-move); the caller must
-	// inject them into the switch data plane, in order.
-	SwitchPushes []wire.Header
-	// Plan is the allocation decision that drove the round.
-	Plan memalloc.Plan
-}
-
 // Allocator selects the placement policy for Reallocate.
 type Allocator func(demands []memalloc.Demand, capacity uint64) memalloc.Plan
 
 // Reallocate runs one round of the memory-management loop with the given
-// demands: compute the target placement with the allocator over the full
-// switch capacity, then migrate drained locks toward it. Locks whose queues
-// are not empty are deferred.
-// maxNewMovesPerRound bounds how many busy locks a single Reallocate round
-// may pause for migration, and pauseAfterDeferrals is how many consecutive
-// busy rounds a lock must accumulate before pausing it is worthwhile.
-const (
-	maxNewMovesPerRound = 32
-	pauseAfterDeferrals = 3
-)
-
-func (m *Manager) Reallocate(demands []memalloc.Demand, alloc Allocator) Report {
+// demands: plan the placement with the allocator over the full switch
+// capacity, then move toward it with the live moves. First each idle
+// resident lock that left the plan, or whose planned size drifted more
+// than 2x from its regions (hysteresis: measurement noise between windows
+// does not churn moves), is demoted to its server; then each idle planned
+// lock is promoted, most valuable first, until the lock table fills.
+// A lock with queued requests stays where it is until a later round finds
+// it idle, as in the paper, which moves a lock only once its queue is
+// empty. Returns the moves made and the q2-replay grants of the
+// demotions, which the caller must deliver.
+func (m *Manager) Reallocate(demands []memalloc.Demand, alloc Allocator) ([]rebalance.Report, []lockserver.Emit) {
 	if alloc == nil {
 		alloc = memalloc.Knapsack
 	}
-	m.movesStarted = 0
-	m.moveAbortEmits = nil
 	plan := alloc(demands, m.layout.Capacity())
-	report := Report{Plan: plan}
-
 	// Target slot counts, as the bank split rounds them.
 	target := make(map[uint32]uint64, len(plan.Switch))
 	for _, a := range plan.Switch {
 		_, target[a.LockID] = m.layout.Split(a.Slots, nil)
 	}
-
-	// Phase 0: resolve moves left draining by earlier rounds. A paused
-	// lock generates no measurable traffic, so it may have dropped out of
-	// the new plan: complete the move if it is still wanted, abort it (the
-	// server resumes processing, buffered requests included) otherwise.
-	// Lock-ID order, not map order: the first completed move gets the
-	// lowest regions, and the report lists and emits must replay from a seed.
-	pending := make([]uint32, 0, len(m.pendingMoves))
-	for id := range m.pendingMoves {
-		pending = append(pending, id)
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	for _, id := range pending {
-		if want, keep := target[id]; keep {
-			if m.installLock(id, want, &report) {
-				report.Installed = append(report.Installed, id)
-			} else {
-				report.Deferred = append(report.Deferred, id)
-			}
-			continue
-		}
-		emits := m.servers[m.ServerFor(id)].CtrlAbortMove(id)
-		report.Emits = append(report.Emits, emits...)
-		delete(m.pendingMoves, id)
-	}
-
-	// Phase 1: remove resident locks that should leave (or be resized).
-	// Resizes apply hysteresis: a resident lock keeps its regions until the
-	// desired size drifts by more than 2x, so measurement noise between
-	// windows does not churn migrations (each one pauses the lock).
+	var moves []rebalance.Report
+	var emits []lockserver.Emit
 	for _, id := range m.sw.CtrlResidentLocks() {
-		want, keep := target[id]
-		if keep {
-			cur := m.layout.Slots(id)
-			if want == cur || (want > cur/2 && want < cur*2) {
+		if want, keep := target[id]; keep {
+			if cur := m.layout.Slots(id); want > cur/2 && want < cur*2 {
 				continue
 			}
 		}
-		if !m.removeResident(id, &report) {
-			report.Deferred = append(report.Deferred, id)
-			if keep {
-				// Could not resize in place: keep the old size this round.
-				delete(target, id)
-			}
+		if !m.idle(id) {
 			continue
 		}
-		if keep {
-			report.Resized = append(report.Resized, id)
-		} else {
-			report.Removed = append(report.Removed, id)
+		rep, es, err := m.MoveToServer(id)
+		if err != nil {
+			continue // refused only when its server also owns the lock
 		}
+		moves = append(moves, rep)
+		emits = append(emits, es...)
 	}
-
-	// Phase 2: install target locks not yet resident, most valuable first.
-	// Stop when the lock table fills: the remaining plan entries are the
-	// least valuable and stay on the servers.
 	for _, a := range plan.Switch {
 		if m.sw.CtrlFreeEntries() == 0 {
 			break
 		}
-		want, ok := target[a.LockID]
-		if !ok || m.sw.CtrlHasLock(a.LockID) {
+		if m.sw.CtrlHasLock(a.LockID) || !m.idle(a.LockID) {
 			continue
 		}
-		if !m.installLock(a.LockID, want, &report) {
-			report.Deferred = append(report.Deferred, a.LockID)
-			continue
+		if rep, err := m.MoveToSwitch(a.LockID, target[a.LockID]); err == nil {
+			moves = append(moves, rep)
 		}
-		report.Installed = append(report.Installed, a.LockID)
 	}
-	report.Emits = append(report.Emits, m.moveAbortEmits...)
-	m.moveAbortEmits = nil
-	return report
+	return moves, emits
 }
 
-// PreinstallLock makes a lock switch-resident ahead of traffic (warmup): it
-// reserves the requested slot count (rounded up to one slot per priority
-// bank) and installs the lock without waiting for a measurement window.
-// When the lock table or queue memory cannot fit it, the error wraps
-// ErrNoCapacity; a lock that is busy draining at its server returns a plain
-// error and can be retried. A lock already resident is a no-op. The returned
-// report carries any emits and switch pushes the caller must deliver (only
-// possible for locks that were mid-move; a cold lock produces none).
-func (m *Manager) PreinstallLock(id uint32, slots uint64) (Report, error) {
-	var report Report
-	if m.sw.CtrlHasLock(id) {
-		return report, nil
-	}
-	_, slots = m.layout.Split(slots, nil)
-	if m.sw.CtrlFreeEntries() == 0 {
-		return report, fmt.Errorf("core: %w: lock table full (%d locks)",
-			ErrNoCapacity, m.cfg.Switch.MaxLocks)
-	}
-	if slots > m.FreeSlots() {
-		return report, fmt.Errorf("core: %w: %d slots requested, %d free",
-			ErrNoCapacity, slots, m.FreeSlots())
-	}
-	m.moveAbortEmits = nil
-	if !m.installLock(id, slots, &report) {
-		report.Emits = append(report.Emits, m.moveAbortEmits...)
-		m.moveAbortEmits = nil
-		return report, fmt.Errorf("core: lock %d not installed (busy at its server, or queue memory fragmented)", id)
-	}
-	report.Emits = append(report.Emits, m.moveAbortEmits...)
-	m.moveAbortEmits = nil
-	report.Installed = append(report.Installed, id)
-	return report, nil
-}
-
-// removeResident drains a lock off the switch and hands it to its server,
-// returning false if the lock's queues are not empty.
-func (m *Manager) removeResident(id uint32, report *Report) bool {
-	if err := m.sw.CtrlRemoveLock(id); err != nil {
-		return false
-	}
-	m.layout.Release(id)
-	emits := m.servers[m.ServerFor(id)].CtrlAdoptLock(id)
-	report.Emits = append(report.Emits, emits...)
-	return true
-}
-
-// installLock moves a server-owned lock into the switch with the given slot
-// count. A busy lock is marked moving at the server (new requests pause
-// into its buffer, §4.3) and the install completes on a later round once
-// the queues drain; buffered requests are appended to report.SwitchPushes
-// for injection into the switch.
-func (m *Manager) installLock(id uint32, slots uint64, report *Report) bool {
-	if m.sw.CtrlFreeEntries() == 0 {
-		return false
-	}
-	srv := m.servers[m.ServerFor(id)]
-	regions, ok := m.reserve(id, slots, nil)
-	if !ok {
-		return false
-	}
-	pushes, err := srv.CtrlTakeForSwitch(id)
-	if err != nil {
-		// Not drained yet: the move stays pending at the server (tracked
-		// so a later round always completes or aborts it) and this round's
-		// regions are returned. New pauses are budgeted per round — pausing
-		// thousands of warm locks at once would stall the workload — so a
-		// busy lock beyond the budget resumes immediately and is retried
-		// when it is idle or a later round has budget.
-		if errors.Is(err, lockserver.ErrNotDrained) {
-			m.deferStreak[id]++
-			_, already := m.pendingMoves[id]
-			// Most locks idle between rounds; deferring is free. Pausing
-			// (keeping the lock in the moving state so it drains) stalls
-			// its requesters for up to a round, so it is reserved for
-			// locks that stayed busy several consecutive rounds, within a
-			// per-round budget.
-			if already || (m.cfg.PauseBusyMoves && m.deferStreak[id] >= pauseAfterDeferrals && m.movesStarted < maxNewMovesPerRound) {
-				if !already {
-					m.movesStarted++
-				}
-				m.pendingMoves[id] = slots
-			} else {
-				// Immediate abort: moving was set an instant ago, so no
-				// requests were buffered; this is a pure state flip back.
-				for _, e := range srv.CtrlAbortMove(id) {
-					m.moveAbortEmits = append(m.moveAbortEmits, e)
-				}
+// idle reports whether lock id has no queued request where it lives now:
+// in its switch queues when it is resident, at its server otherwise.
+func (m *Manager) idle(id uint32) bool {
+	if st, err := m.sw.CtrlLockState(id); err == nil {
+		for _, b := range st.Banks {
+			if b.Count != 0 {
+				return false
 			}
 		}
-		m.layout.Release(id)
-		return false
+		return true
 	}
-	delete(m.pendingMoves, id)
-	delete(m.deferStreak, id)
-	if err := m.sw.CtrlInstallLock(id, regions); err != nil {
-		// Roll back: the server owns the lock again; requests buffered
-		// during the drain are re-processed there.
-		report.Emits = append(report.Emits, srv.CtrlAdoptLock(id)...)
-		m.layout.Release(id)
-		return false
+	owned, _ := m.servers[m.ServerFor(id)].CtrlQueueDepth(id)
+	return owned == 0
+}
+
+// PreinstallLock makes a lock switch-resident ahead of traffic (warmup)
+// with the given slot count (rounded up to one slot per priority bank),
+// without waiting for a measurement window. It is a MoveToSwitch, so a
+// lock with requests queued at its server moves with its queue intact. A
+// lock already resident is a no-op. When the lock table or queue memory
+// cannot fit the lock, the error wraps ErrNoCapacity.
+func (m *Manager) PreinstallLock(id uint32, slots uint64) error {
+	if m.sw.CtrlHasLock(id) {
+		return nil
 	}
-	report.SwitchPushes = append(report.SwitchPushes, pushes...)
-	return true
+	_, err := m.MoveToSwitch(id, slots)
+	return err
 }
 
 // reserve places lock id in the layout with the bank split of slots
@@ -398,7 +234,7 @@ func (m *Manager) reserve(id uint32, slots uint64, live [][]wire.LockEntry) ([]s
 }
 
 // Compact reorganizes the switch memory layout to merge free space (§4.3).
-// Only drained locks can move; locks with queued requests keep their
+// Only idle locks can move; locks with queued requests keep their
 // regions, bounding how much a single compaction can recover.
 func (m *Manager) Compact() {
 	type resident struct {
@@ -407,18 +243,7 @@ func (m *Manager) Compact() {
 	}
 	var movable []resident
 	for _, id := range m.sw.CtrlResidentLocks() {
-		st, err := m.sw.CtrlLockState(id)
-		if err != nil {
-			continue
-		}
-		drained := true
-		for _, b := range st.Banks {
-			if b.Count != 0 {
-				drained = false
-				break
-			}
-		}
-		if drained {
+		if m.idle(id) {
 			movable = append(movable, resident{id: id, regions: m.layout.Regions(id)})
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"netlock/internal/lockserver"
 	"netlock/internal/memalloc"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -38,6 +39,19 @@ func demand(id uint32, rate float64, cont uint64) memalloc.Demand {
 	return memalloc.Demand{LockID: id, Rate: rate, Contention: cont}
 }
 
+// moved splits a round's moves into the locks it promoted and the locks it
+// demoted, each in move order.
+func moved(moves []rebalance.Report) (promoted, demoted []uint32) {
+	for _, mv := range moves {
+		if mv.ToSwitch {
+			promoted = append(promoted, mv.LockID)
+		} else {
+			demoted = append(demoted, mv.LockID)
+		}
+	}
+	return promoted, demoted
+}
+
 func TestReallocateInstallsPopularLocks(t *testing.T) {
 	m := newManager(2)
 	demands := []memalloc.Demand{
@@ -45,9 +59,9 @@ func TestReallocateInstallsPopularLocks(t *testing.T) {
 		demand(2, 10, 2),
 		demand(3, 5000, 8),
 	}
-	rep := m.Reallocate(demands, nil)
-	if len(rep.Installed) != 3 {
-		t.Fatalf("installed = %v (plenty of capacity)", rep.Installed)
+	moves, _ := m.Reallocate(demands, nil)
+	if promoted, _ := moved(moves); len(promoted) != 3 {
+		t.Fatalf("promoted = %v (plenty of capacity)", promoted)
 	}
 	for _, id := range []uint32{1, 2, 3} {
 		if !m.Switch().CtrlHasLock(id) {
@@ -68,12 +82,17 @@ func TestReallocateRespectsCapacity(t *testing.T) {
 	for id := uint32(1); id <= 20; id++ {
 		demands = append(demands, demand(id, float64(1000-id), 10))
 	}
-	rep := m.Reallocate(demands, nil)
-	if got := rep.Plan.SwitchSlotsUsed(); got > 128 {
-		t.Fatalf("plan uses %d slots > capacity", got)
+	moves, _ := m.Reallocate(demands, nil)
+	var used uint64
+	for _, slots := range m.Placement() {
+		used += slots
 	}
-	if len(rep.Installed)+len(rep.Plan.Server) < 20 {
-		t.Fatalf("locks unaccounted: %+v", rep)
+	if used > 128 {
+		t.Fatalf("placement uses %d slots > capacity", used)
+	}
+	promoted, _ := moved(moves)
+	if len(promoted) == 0 || len(promoted) != len(m.Placement()) {
+		t.Fatalf("promoted %v, placement %v", promoted, m.Placement())
 	}
 	// The most valuable locks (highest r/c: lowest IDs here) are resident.
 	if !m.Switch().CtrlHasLock(1) {
@@ -89,12 +108,12 @@ func TestReallocateEvictsUnpopular(t *testing.T) {
 	}
 	// New window: lock 1 cold, lock 2 hot, and capacity only fits one big
 	// lock (contention 120 of 128 slots).
-	rep := m.Reallocate([]memalloc.Demand{
+	moves, _ := m.Reallocate([]memalloc.Demand{
 		demand(1, 0, 0),
 		demand(2, 9000, 120),
 	}, nil)
-	if len(rep.Removed) != 1 || rep.Removed[0] != 1 {
-		t.Fatalf("removed = %v", rep.Removed)
+	if _, demoted := moved(moves); !reflect.DeepEqual(demoted, []uint32{1}) {
+		t.Fatalf("demoted = %v", demoted)
 	}
 	if !m.Switch().CtrlHasLock(2) || m.Switch().CtrlHasLock(1) {
 		t.Fatalf("placement wrong after eviction")
@@ -112,22 +131,16 @@ func TestReallocateDefersNonDrainedLocks(t *testing.T) {
 	m.Reallocate([]memalloc.Demand{demand(1, 1000, 4)}, nil)
 	// Park a request in the switch queue so lock 1 cannot be drained.
 	m.Switch().ProcessPacket(acq(1, 1))
-	rep := m.Reallocate([]memalloc.Demand{demand(2, 9000, 4)}, nil)
-	found := false
-	for _, id := range rep.Deferred {
-		if id == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("non-drained lock should be deferred: %+v", rep)
+	moves, _ := m.Reallocate([]memalloc.Demand{demand(2, 9000, 4)}, nil)
+	if _, demoted := moved(moves); len(demoted) != 0 {
+		t.Fatalf("non-drained lock should be deferred, demoted %v", demoted)
 	}
 	if !m.Switch().CtrlHasLock(1) {
 		t.Fatalf("deferred lock must stay resident")
 	}
 	// After the queue drains, the next round evicts it.
 	m.Switch().ProcessPacket(rel(1, 1))
-	rep = m.Reallocate([]memalloc.Demand{demand(2, 9000, 4)}, nil)
+	m.Reallocate([]memalloc.Demand{demand(2, 9000, 4)}, nil)
 	if m.Switch().CtrlHasLock(1) {
 		t.Fatalf("lock 1 should be evicted after drain")
 	}
@@ -136,9 +149,9 @@ func TestReallocateDefersNonDrainedLocks(t *testing.T) {
 func TestReallocateResize(t *testing.T) {
 	m := newManager(1)
 	m.Reallocate([]memalloc.Demand{demand(1, 1000, 4)}, nil)
-	rep := m.Reallocate([]memalloc.Demand{demand(1, 1000, 16)}, nil)
-	if len(rep.Resized) != 1 || rep.Resized[0] != 1 {
-		t.Fatalf("resized = %v", rep.Resized)
+	moves, _ := m.Reallocate([]memalloc.Demand{demand(1, 1000, 16)}, nil)
+	if promoted, demoted := moved(moves); !reflect.DeepEqual(promoted, []uint32{1}) || !reflect.DeepEqual(demoted, []uint32{1}) {
+		t.Fatalf("resize moves: promoted %v, demoted %v", promoted, demoted)
 	}
 	st, _ := m.Switch().CtrlLockState(1)
 	if got := st.Banks[0].Capacity(); got != 16 {
@@ -151,15 +164,14 @@ func TestReallocateDeferredServerSide(t *testing.T) {
 	// Queue a request at the server so the lock cannot move to the switch.
 	srv := m.Server(m.ServerFor(5))
 	srv.ProcessPacket(acq(5, 1))
-	rep := m.Reallocate([]memalloc.Demand{demand(5, 1000, 4)}, nil)
-	if len(rep.Installed) != 0 || len(rep.Deferred) != 1 {
-		t.Fatalf("report = %+v", rep)
+	if moves, _ := m.Reallocate([]memalloc.Demand{demand(5, 1000, 4)}, nil); len(moves) != 0 {
+		t.Fatalf("busy lock moved: %+v", moves)
 	}
 	// Release at the server, then the move succeeds.
 	srv.ProcessPacket(rel(5, 1))
-	rep = m.Reallocate([]memalloc.Demand{demand(5, 1000, 4)}, nil)
-	if len(rep.Installed) != 1 {
-		t.Fatalf("install after drain failed: %+v", rep)
+	moves, _ := m.Reallocate([]memalloc.Demand{demand(5, 1000, 4)}, nil)
+	if promoted, _ := moved(moves); !reflect.DeepEqual(promoted, []uint32{5}) {
+		t.Fatalf("promote after drain failed: %+v", moves)
 	}
 }
 
@@ -187,12 +199,98 @@ func TestReallocateAdoptionDeliversBufferedGrants(t *testing.T) {
 	sw.ProcessPacket(rel(1, 1))
 	sw.ProcessPacket(rel(1, 2))
 	// Evict: the adoption at the server must grant the buffered request.
-	rep := m.Reallocate([]memalloc.Demand{demand(1, 0, 0)}, nil)
-	if len(rep.Removed) != 1 {
-		t.Fatalf("eviction failed: %+v", rep)
+	moves, grants := m.Reallocate([]memalloc.Demand{demand(1, 0, 0)}, nil)
+	if _, demoted := moved(moves); len(demoted) != 1 {
+		t.Fatalf("eviction failed: %+v", moves)
 	}
-	if len(rep.Emits) != 1 || rep.Emits[0].Hdr.TxnID != 3 {
-		t.Fatalf("adoption emits = %v", rep.Emits)
+	if len(grants) != 1 || grants[0].Hdr.TxnID != 3 {
+		t.Fatalf("adoption emits = %v", grants)
+	}
+}
+
+// TestPendingMoveRetriesAcrossManyRounds: a lock busy at its server is
+// left there round after round, and the first round after it drains
+// promotes it.
+func TestPendingMoveRetriesAcrossManyRounds(t *testing.T) {
+	m := newManager(1)
+	srv := m.Server(m.ServerFor(5))
+	srv.ProcessPacket(acq(5, 1))
+	demands := []memalloc.Demand{demand(5, 1e6, 8)}
+	for round := 0; round < 6; round++ {
+		if moves, _ := m.Reallocate(demands, nil); len(moves) != 0 {
+			t.Fatalf("round %d: busy lock moved: %+v", round, moves)
+		}
+	}
+	srv.ProcessPacket(rel(5, 1))
+	moves, _ := m.Reallocate(demands, nil)
+	if promoted, _ := moved(moves); !reflect.DeepEqual(promoted, []uint32{5}) {
+		t.Fatalf("move should complete after drain: %+v", moves)
+	}
+}
+
+// TestPendingMoveAbortedWhenDroppedFromPlan: a lock left at its server
+// because it was busy, which then drops out of the plan, stays there and
+// keeps serving its queue.
+func TestPendingMoveAbortedWhenDroppedFromPlan(t *testing.T) {
+	m := newManager(1)
+	srv := m.Server(m.ServerFor(5))
+	srv.ProcessPacket(acq(5, 1)) // busy (never released below)
+	for round := 0; round < 3; round++ {
+		m.Reallocate([]memalloc.Demand{demand(5, 1e6, 8)}, nil)
+	}
+	srv.ProcessPacket(acq(5, 2))
+	m.Reallocate([]memalloc.Demand{demand(9, 1e6, 8)}, nil)
+	if m.Switch().CtrlHasLock(5) {
+		t.Fatalf("busy lock dropped from the plan was moved")
+	}
+	if owned, buffered := srv.CtrlQueueDepth(5); owned != 2 || buffered != 0 {
+		t.Fatalf("depths = %d/%d, want 2/0", owned, buffered)
+	}
+	emits := srv.ProcessPacket(rel(5, 1))
+	if len(emits) != 1 || emits[0].Hdr.TxnID != 2 {
+		t.Fatalf("waiter not granted: %v", emits)
+	}
+}
+
+// TestReallocateDemotesDeterministic: a round's demotions walk the
+// resident locks in lock-ID order, not map order, so the moves and the
+// grants their q2 replays emit are the same on every run. Eight resident
+// locks each hold one overflow request buffered at the server; twenty
+// fresh managers each run the one round that demotes all eight.
+func TestReallocateDemotesDeterministic(t *testing.T) {
+	type outcome struct {
+		Moves []rebalance.Report
+		Emits []uint64
+	}
+	locks := []uint32{4, 6, 2, 7, 5, 3, 1, 8}
+	run := func() outcome {
+		m := newManager(1)
+		for _, id := range locks {
+			if err := m.PreinstallLock(id, 4); err != nil {
+				t.Fatalf("preinstall %d: %v", id, err)
+			}
+			ovf := acq(id, uint64(id)*10+3)
+			ovf.Flags = wire.FlagOverflow | wire.FlagBounced
+			m.Server(0).ProcessPacket(ovf)
+		}
+		moves, emits := m.Reallocate(nil, nil)
+		out := outcome{Moves: moves}
+		for _, e := range emits {
+			out.Emits = append(out.Emits, e.Hdr.TxnID)
+		}
+		return out
+	}
+	want := run()
+	if _, demoted := moved(want.Moves); !reflect.DeepEqual(demoted, []uint32{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("demoted %v, want locks 1..8 in order", demoted)
+	}
+	if !reflect.DeepEqual(want.Emits, []uint64{13, 23, 33, 43, 53, 63, 73, 83}) {
+		t.Fatalf("q2 replay grants %v, want 13..83 in lock order", want.Emits)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("manager %d diverged:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 
@@ -215,9 +313,9 @@ func TestCompactMergesFreeSpace(t *testing.T) {
 	}
 	// A 64-slot lock now fits only after compaction, which Reallocate
 	// performs automatically on fragmentation.
-	rep := m.Reallocate(append(demands, demand(100, 1e6, 64)), nil)
-	if len(rep.Installed) != 1 || rep.Installed[0] != 100 {
-		t.Fatalf("compaction did not make room: %+v", rep)
+	moves, _ := m.Reallocate(append(demands, demand(100, 1e6, 64)), nil)
+	if promoted, _ := moved(moves); !reflect.DeepEqual(promoted, []uint32{100}) {
+		t.Fatalf("compaction did not make room: %+v", moves)
 	}
 }
 

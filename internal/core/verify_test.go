@@ -2,7 +2,8 @@ package core
 
 // Chaos verification: drive the full manager stack — switch data plane,
 // lock servers, the q1/q2 overflow handoff, placement rounds (Reallocate),
-// compaction, lease sweeps, and switch/server failures — with seeded random
+// live moves of busy and idle locks, compaction, lease sweeps, and
+// switch/server failures — with seeded random
 // workloads, feeding every observable (request, action) pair to the
 // internal/check safety checker. Strict lockstep does not hold here
 // (overflow buffering reorders grants relative to the sequential model and
@@ -18,6 +19,7 @@ import (
 
 	"netlock/internal/check"
 	"netlock/internal/lockserver"
+	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 )
@@ -46,6 +48,8 @@ type chaos struct {
 	holders map[check.LockPrio][]uint64 // granted, unreleased txns in grant order
 	lost    map[uint64]bool
 	stale   int // grants/releases for lost transactions (clients long gone)
+	// busyMoves counts live moves that carried queued requests.
+	busyMoves int
 
 	// trace keeps the most recent events for violation reports.
 	trace []string
@@ -79,8 +83,7 @@ func newChaos(t *testing.T, seed int64, prios int) *chaos {
 			DefaultLeaseNs: chaosLease,
 			Now:            func() int64 { return c.now },
 		},
-		Servers:        2,
-		PauseBusyMoves: true,
+		Servers: 2,
 	})
 	return c
 }
@@ -243,11 +246,27 @@ func (c *chaos) release(key check.LockPrio) {
 // --- control-plane chaos ---
 
 func (c *chaos) placement() {
-	rep := c.mgr.Reallocate(c.mgr.MeasureDemands(0.001), nil)
-	c.routeServerEmits(rep.Emits)
-	for i := range rep.SwitchPushes {
-		hd := rep.SwitchPushes[i]
-		c.inject(&hd)
+	_, emits := c.mgr.Reallocate(c.mgr.MeasureDemands(0.001), nil)
+	c.routeServerEmits(emits)
+}
+
+// liveMove moves one lock to the other side, busy or not: a resident lock
+// is demoted to its server, a server-owned lock promoted with a few slots
+// per bank (a promotion that does not fit leaves the lock where it is).
+func (c *chaos) liveMove(lock uint32) {
+	var rep rebalance.Report
+	var err error
+	if c.mgr.Switch().CtrlHasLock(lock) {
+		var emits []lockserver.Emit
+		rep, emits, err = c.mgr.MoveToServer(lock)
+		c.routeServerEmits(emits)
+	} else {
+		rep, err = c.mgr.MoveToSwitch(lock, uint64(3*c.prios))
+	}
+	c.tracef("  [live move lock=%d toSwitch=%v granted=%v waiting=%v err=%v]",
+		lock, rep.ToSwitch, rep.Granted, rep.Waiting, err)
+	if err == nil && len(rep.Granted)+len(rep.Waiting) > 0 {
+		c.busyMoves++
 	}
 }
 
@@ -373,6 +392,9 @@ func runChaos(t *testing.T, seed int64) {
 		if i%97 == 96 {
 			c.placement()
 		}
+		if i%61 == 60 {
+			c.liveMove(uint32(1 + op.Pick%cfg.Locks))
+		}
 		if i%151 == 150 {
 			c.now += chaosLease / 2
 			c.sweep()
@@ -390,8 +412,8 @@ func runChaos(t *testing.T, seed int64) {
 	}
 
 	// Drain to quiescence: release every known holder; anything else
-	// (waiting requests gated on pending moves, stale resurrected holders)
-	// is flushed by placement rounds and clock-advanced sweeps.
+	// (stale resurrected holders, stranded overflow) is flushed by
+	// placement rounds and clock-advanced sweeps.
 	stall := 0
 	for len(c.reqs) > 0 || c.busy(cfg.Locks) {
 		if keys := c.releasableKeys(); len(keys) > 0 {
@@ -414,8 +436,8 @@ func runChaos(t *testing.T, seed int64) {
 	if grants < 100 {
 		t.Fatalf("seed %d: vacuous run: only %d grants", seed, grants)
 	}
-	t.Logf("seed %d: %d grants, %d rejects, %d releases, %d stale, %d lost",
-		seed, grants, rejects, releases, c.stale, len(c.lost))
+	t.Logf("seed %d: %d grants, %d rejects, %d releases, %d stale, %d lost, %d busy live moves",
+		seed, grants, rejects, releases, c.stale, len(c.lost), c.busyMoves)
 }
 
 // TestManagerChaosSafety is the end-to-end safety run over the full manager

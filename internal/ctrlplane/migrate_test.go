@@ -288,10 +288,10 @@ func TestPlacementMatchesAcrossPlanes(t *testing.T) {
 		carried  int // holders + waiters the move carries
 	}{
 		{"preinstall 1 x16",
-			func() (rebalance.Report, error) { _, err := emb.PreinstallLock(1, 16); return install(err) },
+			func() (rebalance.Report, error) { return install(emb.PreinstallLock(1, 16)) },
 			func() (rebalance.Report, error) { return install(ctrl.InstallLock(1, 16)) }, 0},
 		{"preinstall 2 x3",
-			func() (rebalance.Report, error) { _, err := emb.PreinstallLock(2, 3); return install(err) },
+			func() (rebalance.Report, error) { return install(emb.PreinstallLock(2, 3)) },
 			func() (rebalance.Report, error) { return install(ctrl.InstallLock(2, 3)) }, 0},
 		{"promote 7 x2 over a 3-deep queue",
 			func() (rebalance.Report, error) { return emb.MoveToSwitch(7, 2) },

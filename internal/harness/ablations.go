@@ -203,7 +203,7 @@ func AblationCoarsening(o Options) []CoarseningRow {
 		wcfg.StockPages = pages
 		wl := tpcc.New(wcfg)
 		// Long warmup: placement needs several rounds to install thousands
-		// of page locks (busy ones via the pause-and-move protocol).
+		// of page locks (a busy lock moves once a round finds it idle).
 		res := tb.Run(svc, wl, o.scale(100e6, 200e6), o.scale(60e6, 200e6))
 		st := mgr.Switch().Stats()
 		sw := float64(st.GrantsImmediate + st.GrantsQueued)

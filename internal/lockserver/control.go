@@ -74,9 +74,8 @@ func (s *Server) CtrlQueueDepth(lockID uint32) (owned int, buffered int) {
 	return owned, buffered
 }
 
-// CtrlReleaseOwnership marks a lock as switch-resident. The lock must be
-// drained first (§4.3: NetLock pauses enqueuing and waits until the queue
-// is empty when moving a lock).
+// CtrlReleaseOwnership marks a lock as switch-resident. The lock's queues
+// must be empty.
 func (s *Server) CtrlReleaseOwnership(lockID uint32) error {
 	lo := s.lock(lockID)
 	for b := range lo.queues {
@@ -86,76 +85,8 @@ func (s *Server) CtrlReleaseOwnership(lockID uint32) error {
 		}
 	}
 	lo.owned = false
-	lo.moving = false
 	lo.current = 0
 	return nil
-}
-
-// ErrNotDrained reports that a move is pending: the lock's queues still
-// hold granted or waiting requests. Retry after releases drain them.
-var ErrNotDrained = fmt.Errorf("lockserver: lock not drained yet")
-
-// CtrlTakeForSwitch implements the paper's move protocol for a hot,
-// never-idle lock (§4.3: "NetLock pauses enqueuing new requests of this
-// lock and waits until the queue is empty"):
-//
-//   - the first call marks the lock as moving: new acquires are buffered
-//     in q2 instead of being enqueued, so the queue drains as current
-//     holders and waiters release;
-//   - once the queues are empty, a call completes the move: ownership
-//     transfers and the buffered requests are returned as OpPush headers
-//     for the caller to deliver to the switch, in arrival order.
-//
-// Until completion it returns ErrNotDrained; callers retry on the next
-// control round.
-func (s *Server) CtrlTakeForSwitch(lockID uint32) ([]wire.Header, error) {
-	lo := s.lock(lockID)
-	if !lo.owned {
-		return nil, fmt.Errorf("lockserver: lock %d not owned by this server", lockID)
-	}
-	lo.moving = true
-	for b := range lo.queues {
-		if len(lo.queues[b]) != 0 {
-			return nil, ErrNotDrained
-		}
-	}
-	lo.owned = false
-	lo.moving = false
-	lo.current = 0
-	var pushes []wire.Header
-	for b := range lo.q2 {
-		for _, e := range lo.q2[b] {
-			p := e.hdr
-			p.Op = wire.OpPush
-			pushes = append(pushes, p)
-		}
-		lo.q2[b] = nil
-		lo.buffering[b] = false
-	}
-	return pushes, nil
-}
-
-// CtrlAbortMove cancels a pending move: buffered requests are processed as
-// normal acquires again (used when the switch-side installation fails).
-func (s *Server) CtrlAbortMove(lockID uint32) []Emit {
-	s.emits = s.emits[:0]
-	lo := s.lock(lockID)
-	if !lo.moving {
-		return nil
-	}
-	lo.moving = false
-	for b := range lo.q2 {
-		pending := lo.q2[b]
-		lo.q2[b] = nil
-		lo.buffering[b] = false
-		for i := range pending {
-			h := pending[i].hdr
-			s.acquire(&h)
-		}
-	}
-	out := make([]Emit, len(s.emits))
-	copy(out, s.emits)
-	return out
 }
 
 // CtrlAdoptLock marks a lock as server-owned again (moved off the switch,

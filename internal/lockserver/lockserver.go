@@ -114,10 +114,6 @@ type lockObj struct {
 	// owned is true when this server processes the lock (the lock is not
 	// switch-resident); false when the server only buffers overflow.
 	owned bool
-	// moving is true while a move to the switch is draining this lock's
-	// queues (§4.3): new acquires are buffered in q2 until the move
-	// completes.
-	moving bool
 	// queues hold waiting-and-granted requests per priority; the granted
 	// requests form a prefix of each queue, exactly as in the switch.
 	queues [][]entry
@@ -331,19 +327,6 @@ func (s *Server) acquire(h *wire.Header) {
 		return
 	}
 	if s.dedup(lo, h) {
-		return
-	}
-	if lo.moving {
-		// Move in progress: pause enqueuing (§4.3). The request is
-		// buffered and pushed to the switch when the move completes.
-		b := s.bankFor(h.Priority)
-		if s.cfg.MaxBuffer > 0 && len(lo.q2[b]) >= s.cfg.MaxBuffer {
-			s.reject(h)
-			return
-		}
-		e := *h
-		lo.q2[b] = append(lo.q2[b], entry{hdr: e})
-		s.stats.Buffered++
 		return
 	}
 	b := s.bankFor(h.Priority)

@@ -16,20 +16,17 @@ import (
 // out of turn).
 
 // CtrlExportLock atomically snapshots an owned lock's queues and releases
-// ownership. Any q2-buffered requests (left by an aborted drain-based move)
-// are appended to their bank as waiters, so nothing is lost. After the
-// call, requests for the lock are forwarded back to the switch; the caller
-// must install the export at the destination promptly (in-flight requests
-// ping-pong between switch and server until the new owner is live). Leases
-// are absolute against the server clock the state is stamped with.
+// ownership. A never-contacted lock is owned by default (first contact
+// adopts it), so it exports empty queues and is recorded as not owned. Any
+// q2-buffered requests are appended to their bank as waiters, so nothing
+// is lost. After the call, requests for the lock are forwarded back to the
+// switch; the caller must install the export at the destination promptly
+// (in-flight requests ping-pong between switch and server until the new
+// owner is live). Leases are absolute against the server clock the state
+// is stamped with.
 func (s *Server) CtrlExportLock(lockID uint32) (wire.LockState, error) {
 	st := wire.LockState{LockID: lockID, BaseNs: s.cfg.Now(), Banks: make([][]wire.LockEntry, s.cfg.Priorities)}
-	lo, ok := s.locks[lockID]
-	if !ok {
-		// Never-contacted locks are implicitly owned by their home server
-		// (first contact adopts them): export empty queues.
-		return st, nil
-	}
+	lo := s.lock(lockID)
 	if !lo.owned {
 		return wire.LockState{}, fmt.Errorf("lockserver: lock %d not owned by this server", lockID)
 	}
@@ -49,7 +46,6 @@ func (s *Server) CtrlExportLock(lockID uint32) (wire.LockState, error) {
 		lo.wait[b] = 0
 	}
 	lo.owned = false
-	lo.moving = false
 	lo.held = 0
 	lo.heldX = false
 	lo.current = 0
@@ -77,7 +73,6 @@ func (s *Server) CtrlImportLock(st wire.LockState) ([]Emit, error) {
 		}
 	}
 	lo.owned = true
-	lo.moving = false
 	lo.held = 0
 	lo.heldX = false
 	lo.current = 0

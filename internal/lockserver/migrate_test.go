@@ -56,6 +56,26 @@ func TestServerExportImportPreservesQueueState(t *testing.T) {
 	}
 }
 
+// Exporting a never-contacted lock hands it to the switch: the server must
+// record that it does not own the lock, or a later acquire would adopt it
+// on first contact and two parties would grant the same lock.
+func TestColdExportRecordsNonOwnership(t *testing.T) {
+	s := newServer()
+	ex, err := s.CtrlExportLock(7)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	for b, bank := range ex.Banks {
+		if len(bank) != 0 {
+			t.Fatalf("cold export bank %d = %v, want empty", b, bank)
+		}
+	}
+	wantActions(t, do(t, s, req(wire.OpAcquire, 7, 1, wire.Exclusive)), ActPush)
+	if s.CtrlOwns(7) {
+		t.Fatalf("server owns lock 7 after exporting it")
+	}
+}
+
 // A duplicate of an already-imported request (a retransmit that raced the
 // move) must not enqueue a ghost entry, and a granted duplicate re-emits
 // its grant.

@@ -1,6 +1,7 @@
 package p4sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -318,6 +319,36 @@ func TestTableBasics(t *testing.T) {
 	tbl.CtrlClear()
 	if tbl.Len() != 0 {
 		t.Fatalf("clear failed")
+	}
+}
+
+// TestTableKeysSorted pins the control-plane scan order: CtrlKeys lists
+// the installed keys ascending whatever the order they were added and
+// removed in, and the returned slice is the caller's own.
+func TestTableKeysSorted(t *testing.T) {
+	tbl := NewTable("locks", 16)
+	for _, k := range []uint32{43, 63, 23, 73, 53, 33, 13, 83} {
+		if err := tbl.CtrlAdd(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.CtrlDel(53); err != nil {
+		t.Fatal(err)
+	}
+	keys := tbl.CtrlKeys()
+	if want := []uint32{13, 23, 33, 43, 63, 73, 83}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("keys = %v, want %v", keys, want)
+	}
+	keys[0] = 99
+	if got := tbl.CtrlKeys()[0]; got != 13 {
+		t.Fatalf("CtrlKeys shares its backing array: first key %d", got)
+	}
+	tbl.CtrlClear()
+	if keys := tbl.CtrlKeys(); len(keys) != 0 {
+		t.Fatalf("keys after clear = %v", keys)
+	}
+	if err := tbl.CtrlAdd(5, 0); err != nil || !reflect.DeepEqual(tbl.CtrlKeys(), []uint32{5}) {
+		t.Fatalf("add after clear: %v, keys %v", err, tbl.CtrlKeys())
 	}
 }
 

@@ -1,6 +1,9 @@
 package p4sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Table is an exact-match match-action table: the data plane looks keys up
 // at line rate; the control plane adds and removes entries at runtime.
@@ -14,6 +17,9 @@ type Table struct {
 	name     string
 	capacity int
 	entries  map[uint32]uint32
+	// keys holds the installed keys in ascending order, so control-plane
+	// scans walk the table in lock-ID order on every run.
+	keys []uint32
 }
 
 // NewTable allocates a match-action table with the given entry capacity.
@@ -53,6 +59,8 @@ func (t *Table) CtrlAdd(key, param uint32) error {
 		return fmt.Errorf("p4sim: table %s full (%d entries)", t.name, t.capacity)
 	}
 	t.entries[key] = param
+	i, _ := slices.BinarySearch(t.keys, key)
+	t.keys = slices.Insert(t.keys, i, key)
 	return nil
 }
 
@@ -62,21 +70,16 @@ func (t *Table) CtrlDel(key uint32) error {
 		return fmt.Errorf("p4sim: table %s: no entry for key %d", t.name, key)
 	}
 	delete(t.entries, key)
+	i, _ := slices.BinarySearch(t.keys, key)
+	t.keys = slices.Delete(t.keys, i, i+1)
 	return nil
 }
 
-// CtrlKeys returns the installed keys (no order guarantee).
-func (t *Table) CtrlKeys() []uint32 {
-	out := make([]uint32, 0, len(t.entries))
-	for k := range t.entries {
-		out = append(out, k)
-	}
-	return out
-}
+// CtrlKeys returns a copy of the installed keys, ascending.
+func (t *Table) CtrlKeys() []uint32 { return slices.Clone(t.keys) }
 
 // CtrlClear removes every entry.
 func (t *Table) CtrlClear() {
-	for k := range t.entries {
-		delete(t.entries, k)
-	}
+	clear(t.entries)
+	t.keys = t.keys[:0]
 }

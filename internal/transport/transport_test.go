@@ -194,6 +194,40 @@ func TestOverflowOverUDP(t *testing.T) {
 	// Tiny region: contention overflows to the server and must still
 	// drain correctly through the push protocol.
 	installLock(t, sw, servers, 7, switchdp.Region{Left: 0, Right: 2})
+	// Force the overflow: one client holds the lock while four more queue
+	// behind it. The 2-slot region takes the holder and one waiter; the
+	// rest overflow to the server. The holder keeps the lock until the
+	// switch has counted an overflow, so no scheduling can serialize the
+	// waiters past it.
+	holder, err := acquire(client(t, sw), 7, netlock.Exclusive, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	var queued []*AsyncAcquire
+	for w := 0; w < 4; w++ {
+		a, err := client(t, sw).AcquireAsync(ctx, 7, netlock.Exclusive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, a)
+	}
+	for sw.Snapshot().Stats.Overflows == 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("overflow path not exercised: %+v", sw.Snapshot().Stats)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	holder.Release()
+	for _, a := range queued {
+		g, err := a.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	}
+	// Then contended churn through the same region.
 	const workers = 6
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

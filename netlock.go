@@ -557,7 +557,8 @@ func (m *Manager) Acquire(ctx context.Context, lockID uint32, mode Mode, opts ..
 // Preinstall makes a lock switch-resident ahead of traffic (warmup), with
 // the given shared-queue slot count (rounded up to one slot per priority
 // bank). It fails with ErrNoCapacity when the switch's lock table or queue
-// memory cannot host the lock. Already-resident locks are a no-op. The
+// memory cannot host the lock. Already-resident locks are a no-op; a lock
+// with requests queued at its server moves with its queue intact. The
 // rebalancer may later demote preinstalled locks that see no traffic.
 func (m *Manager) Preinstall(lockID uint32, slots int) error {
 	if m.closed.Load() {
@@ -572,14 +573,7 @@ func (m *Manager) Preinstall(lockID uint32, slots int) error {
 	if sh.closed {
 		return ErrClosed
 	}
-	rep, err := sh.mgr.PreinstallLock(lockID, uint64(slots))
-	// A preinstalled lock can have been mid-move: deliver whatever the
-	// install produced before reporting the outcome.
-	sh.routeServerEmits(rep.Emits)
-	for i := range rep.SwitchPushes {
-		sh.inject(&rep.SwitchPushes[i])
-	}
-	if err != nil {
+	if err := sh.mgr.PreinstallLock(lockID, uint64(slots)); err != nil {
 		if errors.Is(err, core.ErrNoCapacity) {
 			return fmt.Errorf("netlock: preinstall lock %d: %w", lockID, ErrNoCapacity)
 		}

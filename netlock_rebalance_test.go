@@ -204,6 +204,56 @@ func TestLiveMoveAcrossHeldLock(t *testing.T) {
 	g.Release()
 }
 
+// TestPreinstallMovesBusyQueue: preinstalling a lock that is held at its
+// server, with a waiter queued behind the holder, moves the queue into the
+// switch intact: the holder keeps the lock, and the switch grants the
+// waiter when the holder releases.
+func TestPreinstallMovesBusyQueue(t *testing.T) {
+	m := New(Config{Shards: 1, Servers: 1})
+	defer m.Close()
+	ctx := context.Background()
+	const lockID = 9
+
+	holder, err := m.Acquire(ctx, lockID, Exclusive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiterCh := make(chan *Grant, 1)
+	go func() {
+		g, err := m.Acquire(ctx, lockID, Exclusive)
+		if err != nil {
+			t.Error(err)
+		}
+		waiterCh <- g
+	}()
+	waitUntil(t, "waiter to queue at the server", func() bool {
+		return m.Stats().Servers[0].Queued >= 1
+	})
+
+	if err := m.Preinstall(lockID, 8); err != nil {
+		t.Fatalf("preinstall of a held lock with a waiter: %v", err)
+	}
+	st := m.Stats()
+	if st.SwitchResidentLocks != 1 {
+		t.Fatalf("%d switch-resident locks after preinstall, want 1", st.SwitchResidentLocks)
+	}
+	select {
+	case <-waiterCh:
+		t.Fatal("waiter granted while the holder still holds")
+	default:
+	}
+	holder.Release()
+	g := <-waiterCh
+	if g == nil {
+		t.Fatal("waiter lost across the preinstall")
+	}
+	if got := m.Stats().Switch.GrantsQueued; got != st.Switch.GrantsQueued+1 {
+		t.Fatalf("switch queued grants %d -> %d: the waiter was not granted by the switch",
+			st.Switch.GrantsQueued, got)
+	}
+	g.Release()
+}
+
 // TestManagerDrainAndAddServer: embedded parity for the tier operations —
 // drain a server mid-hold, refuse the redirect cycle, grow the tier.
 func TestManagerDrainAndAddServer(t *testing.T) {
