@@ -173,7 +173,7 @@ func runDriftLeg(cfg loadConfig, hotN int, rebalanced bool) (driftResult, error)
 
 	var loop *rebalance.Loop
 	if rebalanced {
-		// Default sizing: the planner's SlotHeadroom keeps admission margin
+		// Default sizing: the planner's slot headroom keeps admission margin
 		// above measured peak concurrency, so no per-benchmark slot floor is
 		// needed to stop saturated hot locks detouring through the server
 		// overflow path.

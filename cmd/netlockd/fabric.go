@@ -50,11 +50,7 @@ func runFabric(cfg fabricConfig) {
 				DefaultLeaseNs: int64(cfg.lease),
 				Obs:            reg.Stripe(0),
 			},
-			Server: lockserver.Config{
-				Priorities:     cfg.priorities,
-				DefaultLeaseNs: int64(cfg.lease),
-				Obs:            reg.Stripe(1),
-			},
+			Server: lockserver.Config{Obs: reg.Stripe(1)},
 		},
 	})
 	if err != nil {

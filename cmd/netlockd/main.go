@@ -92,11 +92,7 @@ func main() {
 			DefaultLeaseNs: int64(*lease),
 			Obs:            reg.Stripe(0),
 		},
-		Server: lockserver.Config{
-			Priorities:     *priorities,
-			DefaultLeaseNs: int64(*lease),
-			Obs:            reg.Stripe(1),
-		},
+		Server:     lockserver.Config{Obs: reg.Stripe(1)},
 		HeadListen: *listen,
 	})
 	if err != nil {

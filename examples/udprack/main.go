@@ -24,8 +24,9 @@ import (
 
 func main() {
 	// Two lock servers behind one ToR lock switch, with leases for crash
-	// recovery; lock 1 is hot — SwitchLocks installs it in the data plane
-	// (and releases ownership at its partition server, the §4.3 move).
+	// recovery (the servers take the switch's banks and lease); lock 1 is
+	// hot — SwitchLocks installs it in the data plane (and releases
+	// ownership at its partition server, the §4.3 move).
 	tp, err := ctrlplane.New(ctrlplane.Config{
 		Switches: 1,
 		Servers:  2,
@@ -45,7 +46,8 @@ func main() {
 	for _, srv := range tp.Servers() {
 		srvAddrs = append(srvAddrs, srv.Addr())
 	}
-	fmt.Printf("switch on %s, lock servers on %v\n", tp.Head().Addr(), srvAddrs)
+	lease := time.Duration(tp.Servers()[0].LockServer().Config().DefaultLeaseNs)
+	fmt.Printf("switch on %s, lock servers on %v, lease %v\n", tp.Head().Addr(), srvAddrs, lease)
 
 	// Clients hammer the hot lock (switch path) and a cold lock (server
 	// path) concurrently. Each acquire carries a per-call deadline through

@@ -45,8 +45,8 @@ type Config struct {
 	Switch switchdp.Config
 	// Servers is the number of lock servers in the rack.
 	Servers int
-	// ServerConfig configures each lock server; Priorities is forced to
-	// match the switch.
+	// ServerConfig configures each lock server; its Priorities and
+	// DefaultLeaseNs come from Switch (see RackServerConfig).
 	ServerConfig lockserver.Config
 	// Obs, when non-nil, instruments this instance's switch and servers. A
 	// core.Manager is single-threaded, so one stripe serves the whole
@@ -71,17 +71,24 @@ type Manager struct {
 	swFailed bool
 }
 
+// RackServerConfig returns srv with the rack's rule applied: a lock server
+// runs the switch's priority banks (§4.4) and its default lease (§4.5), so
+// a lock moved either way keeps its banks and its lease. Both planes'
+// racks (New here, ctrlplane.New) build their servers through it.
+func RackServerConfig(sw switchdp.Config, srv lockserver.Config) lockserver.Config {
+	srv.Priorities = max(sw.Priorities, 1)
+	srv.DefaultLeaseNs = sw.DefaultLeaseNs
+	return srv
+}
+
 // New builds a NetLock manager.
 func New(cfg Config) *Manager {
 	if cfg.Servers <= 0 {
 		panic("core: need at least one lock server")
 	}
-	cfg.ServerConfig.Priorities = max(cfg.Switch.Priorities, 1)
+	cfg.ServerConfig = RackServerConfig(cfg.Switch, cfg.ServerConfig)
 	if cfg.ServerConfig.Now == nil {
 		cfg.ServerConfig.Now = cfg.Switch.Now
-	}
-	if cfg.ServerConfig.DefaultLeaseNs == 0 {
-		cfg.ServerConfig.DefaultLeaseNs = cfg.Switch.DefaultLeaseNs
 	}
 	if cfg.Obs != nil {
 		if cfg.Switch.Obs == nil {

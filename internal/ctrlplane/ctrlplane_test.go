@@ -77,6 +77,47 @@ func TestTwoBankPreinstallUsesWholeBanks(t *testing.T) {
 	acquire(t, fastClient(t, tp), 3).Release()
 }
 
+// TestServersInheritBanksAndLease: a rack configured only through its data
+// plane runs every lock server, the ones New starts and one AddServer adds,
+// with the switch's priority banks and default lease. A resident lock with
+// a holder demotes into a server, and the server stamps its own grants
+// with the same lease.
+func TestServersInheritBanksAndLease(t *testing.T) {
+	const lease = int64(time.Minute)
+	tp := topo(t, Config{
+		DataPlane:   switchdp.Config{MaxLocks: 16, TotalSlots: 64, Priorities: 2, DefaultLeaseNs: lease},
+		SwitchLocks: []SwitchLock{{ID: 5, Slots: 8}},
+	})
+	c := fastClient(t, tp)
+	acquire(t, c, 5)
+	if _, err := tp.Controller().MoveToServer(5); err != nil {
+		t.Fatalf("demote lock 5: %v", err)
+	}
+	if _, err := tp.AddServer(); err != nil {
+		t.Fatalf("add server: %v", err)
+	}
+	acquire(t, c, 9) // server-owned from the start
+
+	expired := map[uint32]int{}
+	for i, srv := range tp.Servers() {
+		srv.WithLockServer(func(ls *lockserver.Server) {
+			if cfg := ls.Config(); cfg.Priorities != 2 || cfg.DefaultLeaseNs != lease {
+				t.Errorf("server %d: %d priorities, lease %v; want 2 and %v",
+					i, cfg.Priorities, time.Duration(cfg.DefaultLeaseNs), time.Duration(lease))
+			}
+			if es := ls.CtrlScanExpired(ls.CtrlNow() + lease/2); len(es) != 0 {
+				t.Errorf("server %d: lease shorter than %v: %+v", i, time.Duration(lease/2), es)
+			}
+			for _, e := range ls.CtrlScanExpired(ls.CtrlNow() + lease + 1) {
+				expired[e.Hdr.LockID]++
+			}
+		})
+	}
+	if want := map[uint32]int{5: 1, 9: 1}; !reflect.DeepEqual(expired, want) {
+		t.Fatalf("holders past the lease, by lock: %v, want %v", expired, want)
+	}
+}
+
 // TestTopologySingleSwitch: the degenerate chain behaves like the old
 // ad-hoc rack bringup — server path and switch path both work.
 func TestTopologySingleSwitch(t *testing.T) {

@@ -2,8 +2,8 @@ package ctrlplane
 
 import (
 	"fmt"
-	"time"
 
+	"netlock/internal/core"
 	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
@@ -39,7 +39,9 @@ type Config struct {
 	// once per member, and counting it once keeps obs equal to what one
 	// switch sees.
 	DataPlane switchdp.Config
-	// Server configures each lock server.
+	// Server configures each lock server. Its Priorities and
+	// DefaultLeaseNs are the data plane's (core.RackServerConfig), on the
+	// servers New starts and on those AddServer adds.
 	Server lockserver.Config
 	// Chaos, when non-nil, builds the rack on a fresh chaos network with
 	// this profile; in-rack links (servers, chain members) are marked
@@ -49,15 +51,10 @@ type Config struct {
 	// Net is an explicit socket factory; nil (with nil Chaos) means real
 	// UDP on loopback.
 	Net transport.Network
-	// Listen is the bind address pattern (default "127.0.0.1:0" on UDP,
-	// "10.99.0.1:0" on a chaos network).
-	Listen string
 	// HeadListen, when set, is the bind address for chain member 0 (the
 	// initial head) only — a daemon can advertise a stable address while
 	// the rest of the rack takes ephemeral ports.
 	HeadListen string
-	// SweepInterval passes through to each switch.
-	SweepInterval time.Duration
 	// SwitchLocks are installed chain-wide before New returns.
 	SwitchLocks []SwitchLock
 	// Quotas are configured chain-wide before New returns. With a
@@ -79,8 +76,8 @@ type Topology struct {
 	servers  []*transport.Server
 	clients  []*transport.Client
 
-	// listen and serverCfg are kept so AddServer can start new lock
-	// servers identical to the originals.
+	// listen and serverCfg, the rack rule already applied, are kept so
+	// AddServer can start new lock servers identical to the originals.
 	listen    string
 	serverCfg lockserver.Config
 }
@@ -100,15 +97,11 @@ func New(cfg Config) (*Topology, error) {
 		nsrv = 2
 	}
 	t := &Topology{net: cfg.Net}
-	listen := cfg.Listen
 	if t.net == nil {
 		if cfg.Chaos != nil {
 			t.cn = transport.NewChaosNet(*cfg.Chaos)
 			t.ownsNet = true
 			t.net = t.cn
-			if listen == "" {
-				listen = "10.99.0.1:0"
-			}
 		} else {
 			t.net = transport.UDP
 		}
@@ -117,14 +110,14 @@ func New(cfg Config) (*Topology, error) {
 		// still gets reliable in-rack links; only the network's creator
 		// drains it on teardown.
 		t.cn = cn
-		if listen == "" {
-			listen = "10.99.0.1:0"
-		}
 	}
-	if listen == "" {
-		listen = "127.0.0.1:0"
+	// Every node binds an ephemeral port: on loopback for real UDP, on
+	// the chaos network's one fake subnet otherwise.
+	listen := "127.0.0.1:0"
+	if t.cn != nil {
+		listen = "10.99.0.1:0"
 	}
-	t.listen, t.serverCfg = listen, cfg.Server
+	t.listen, t.serverCfg = listen, core.RackServerConfig(cfg.DataPlane, cfg.Server)
 	fail := func(err error) (*Topology, error) {
 		t.Close()
 		return nil, err
@@ -133,7 +126,7 @@ func New(cfg Config) (*Topology, error) {
 	var srvAddrs []string
 	for i := 0; i < nsrv; i++ {
 		srv, err := transport.NewServer(transport.ServerConfig{
-			Listen: listen, Config: cfg.Server, Net: t.net,
+			Listen: listen, Config: t.serverCfg, Net: t.net,
 		})
 		if err != nil {
 			return fail(err)
@@ -157,11 +150,10 @@ func New(cfg Config) (*Topology, error) {
 			swListen = cfg.HeadListen
 		}
 		sw, err := transport.NewSwitch(transport.SwitchConfig{
-			Listen:        swListen,
-			DataPlane:     dp,
-			Servers:       srvAddrs,
-			SweepInterval: cfg.SweepInterval,
-			Net:           t.net,
+			Listen:    swListen,
+			DataPlane: dp,
+			Servers:   srvAddrs,
+			Net:       t.net,
 		})
 		if err != nil {
 			return fail(err)

@@ -9,6 +9,9 @@ import (
 	"netlock/internal/wire"
 )
 
+// drainTimeout bounds the post-fence release drain during a re-home.
+const drainTimeout = 10 * time.Second
+
 // Rehome records one completed shard move, for oracles that need to know
 // which rack legitimately spoke for a shard at a given map epoch.
 type Rehome struct {
@@ -26,18 +29,14 @@ type Rehome struct {
 // epochs, and shards change home only through it. Safe for concurrent use;
 // re-homes serialize.
 type Controller struct {
-	mu           sync.Mutex
-	racks        []*ctrlplane.Topology
-	m            *wire.ShardMap
-	history      []Rehome
-	drainTimeout time.Duration
+	mu      sync.Mutex
+	racks   []*ctrlplane.Topology
+	m       *wire.ShardMap
+	history []Rehome
 }
 
-func newController(racks []*ctrlplane.Topology, m *wire.ShardMap, drainTimeout time.Duration) *Controller {
-	if drainTimeout <= 0 {
-		drainTimeout = 10 * time.Second
-	}
-	return &Controller{racks: racks, m: m.Clone(), drainTimeout: drainTimeout}
+func newController(racks []*ctrlplane.Topology, m *wire.ShardMap) *Controller {
+	return &Controller{racks: racks, m: m.Clone()}
 }
 
 // Map returns a copy of the current shard map.
@@ -114,11 +113,11 @@ func (c *Controller) Rehome(shard uint32, to int) error {
 	match := func(id uint32) bool { return c.m.ShardOf(id) == shard }
 
 	src.SetShardFence(shard, true)
-	deadline := time.Now().Add(c.drainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for !src.ReleasesDrained(match) {
 		if time.Now().After(deadline) {
 			src.SetShardFence(shard, false)
-			return fmt.Errorf("fabric: shard %d releases did not drain within %v", shard, c.drainTimeout)
+			return fmt.Errorf("fabric: shard %d releases did not drain within %v", shard, drainTimeout)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -11,7 +11,6 @@ package fabric
 
 import (
 	"fmt"
-	"time"
 
 	"netlock/internal/ctrlplane"
 	"netlock/internal/transport"
@@ -26,8 +25,8 @@ type Config struct {
 	// are the unit of re-homing.
 	Shards int
 	// Rack is the per-rack topology template: chain length, server count,
-	// data plane, quotas. Net, Chaos, and Listen are owned by the fabric
-	// and must be left zero.
+	// data plane, quotas. Net and Chaos are owned by the fabric and must
+	// be left zero.
 	Rack ctrlplane.Config
 	// Chaos, when non-nil, builds every rack on one shared chaos network
 	// with this profile — in-rack links stay reliable (the racks mark
@@ -37,9 +36,6 @@ type Config struct {
 	// Net is an explicit socket factory shared by every rack; nil (with
 	// nil Chaos) means real UDP on loopback.
 	Net transport.Network
-	// DrainTimeout bounds the post-fence release drain during a re-home
-	// (default 10s).
-	DrainTimeout time.Duration
 }
 
 // Fabric is a running multi-rack deployment.
@@ -67,8 +63,8 @@ func New(cfg Config) (*Fabric, error) {
 	if shards == 0 {
 		shards = 64
 	}
-	if cfg.Rack.Net != nil || cfg.Rack.Chaos != nil || cfg.Rack.Listen != "" {
-		return nil, fmt.Errorf("fabric: Rack.Net/Chaos/Listen are fabric-owned; set Config.Chaos or Config.Net")
+	if cfg.Rack.Net != nil || cfg.Rack.Chaos != nil {
+		return nil, fmt.Errorf("fabric: Rack.Net/Chaos are fabric-owned; set Config.Chaos or Config.Net")
 	}
 	m, err := wire.NewShardMap(nracks, shards)
 	if err != nil {
@@ -95,7 +91,7 @@ func New(cfg Config) (*Fabric, error) {
 		f.racks = append(f.racks, tp)
 		tp.Controller().SetShardMap(m, i)
 	}
-	f.ctrl = newController(f.racks, m, cfg.DrainTimeout)
+	f.ctrl = newController(f.racks, m)
 	return f, nil
 }
 

@@ -225,6 +225,3 @@ func (s *Server) CtrlOverflowLocks() []uint32 {
 // ping-ponging it. This keeps a drained server from ever becoming the
 // default owner of new state while routing flips over.
 func (s *Server) CtrlSetDraining(on bool) { s.draining = on }
-
-// CtrlDraining reports whether the server is in draining mode.
-func (s *Server) CtrlDraining() bool { return s.draining }

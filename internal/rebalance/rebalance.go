@@ -68,43 +68,15 @@ type Mover interface {
 
 // Config tunes the loop.
 type Config struct {
-	// Interval is the tick period for Start (default 100ms). Each Tick
+	// Interval is the tick period for Start (default 100ms), and the
+	// window each Tick's demand measurement is normalized over. Each Tick
 	// measures one window and executes at most Budget moves.
 	Interval time.Duration
-	// Window is the measurement normalization in seconds; 0 derives it
-	// from Interval.
-	Window float64
 	// Budget caps moves per tick (default 4). A promotion and the
 	// demotions making room for it count separately, so a small budget
 	// spreads a placement flip over several ticks instead of pausing
 	// many locks at once.
 	Budget int
-	// Alpha is the EWMA weight of the newest window (default 0.5, range
-	// (0,1]). Lower values smooth harder: a lock must stay hot across
-	// windows before it earns promotion, so measurement noise does not
-	// churn migrations.
-	Alpha float64
-	// Headroom is the fraction of switch capacity withheld from the
-	// allocator (default 0.1), kept free so promotions have somewhere to
-	// land between compactions.
-	Headroom float64
-	// MinSlots floors a promoted lock's slot grant (default 8).
-	MinSlots uint64
-	// SlotHeadroom over-provisions every promoted lock's slot grant by
-	// this fraction above its smoothed peak contention (default 0.25;
-	// negative disables). Sizing a region at exactly the measured peak
-	// starves admission: the moment demand ticks above the last window's
-	// peak, the saturated switch queue detours every extra acquire through
-	// the server's overflow buffer, where it waits on a queue-drained push
-	// a busy lock rarely sends. The headroom keeps a margin of free slots
-	// so growth is absorbed in the switch until the next window re-sizes.
-	SlotHeadroom float64
-	// PromoteRate is the minimum smoothed request rate (req/s) for a lock
-	// to be considered for switch residency (default 10). The knapsack
-	// alone would fill leftover capacity with arbitrarily cold locks —
-	// free in the paper's offline model, but here every placement change
-	// is a live migration, so a lock must be measurably hot to earn one.
-	PromoteRate float64
 	// OnMove, when set, observes every attempted move: the report (zero
 	// on failure) and the error. Called synchronously from Tick — the
 	// scenario oracle validates migrated state here, before traffic
@@ -117,31 +89,40 @@ func (c *Config) withDefaults() Config {
 	if out.Interval <= 0 {
 		out.Interval = 100 * time.Millisecond
 	}
-	if out.Window <= 0 {
-		out.Window = out.Interval.Seconds()
-	}
 	if out.Budget <= 0 {
 		out.Budget = 4
 	}
-	if out.Alpha <= 0 || out.Alpha > 1 {
-		out.Alpha = 0.5
-	}
-	if out.Headroom < 0 || out.Headroom >= 1 {
-		out.Headroom = 0.1
-	}
-	if out.MinSlots == 0 {
-		out.MinSlots = 8
-	}
-	if out.SlotHeadroom == 0 {
-		out.SlotHeadroom = 0.25
-	} else if out.SlotHeadroom < 0 {
-		out.SlotHeadroom = 0
-	}
-	if out.PromoteRate == 0 {
-		out.PromoteRate = 10
-	}
 	return out
 }
+
+// The planner's smoothing and sizing rules.
+const (
+	// alpha is the EWMA weight of the newest window, in (0,1]. Lower
+	// values smooth harder: a lock must stay hot across windows before it
+	// earns promotion, so measurement noise does not churn migrations.
+	alpha = 0.5
+	// headroom is the fraction of switch capacity withheld from the
+	// allocator, kept free so promotions have somewhere to land between
+	// compactions.
+	headroom = 0.1
+	// minSlots floors a promoted lock's slot grant.
+	minSlots = 8
+	// slotHeadroom over-provisions every promoted lock's slot grant by
+	// this fraction above its smoothed peak contention. Sizing a region at
+	// exactly the measured peak starves admission: the moment demand ticks
+	// above the last window's peak, the saturated switch queue detours
+	// every extra acquire through the server's overflow buffer, where it
+	// waits on a queue-drained push a busy lock rarely sends. The headroom
+	// keeps a margin of free slots so growth is absorbed in the switch
+	// until the next window re-sizes.
+	slotHeadroom = 0.25
+	// promoteRate is the minimum smoothed request rate (req/s) for a lock
+	// to be considered for switch residency. The knapsack alone would fill
+	// leftover capacity with arbitrarily cold locks — free in the paper's
+	// offline model, but here every placement change is a live migration,
+	// so a lock must be measurably hot to earn one.
+	promoteRate = 10
+)
 
 // Stats counts the loop's work. Cheap value copy.
 type Stats struct {
@@ -158,23 +139,20 @@ type Stats struct {
 // the same window sequence yields the same plans (memalloc breaks score
 // ties by lock ID). Not safe for concurrent use; the Loop serializes.
 type Planner struct {
+	// alpha, minSlots and slotHeadroom are the package constants; the
+	// planner carries them so in-package tests can vary them.
 	alpha        float64
-	headroom     float64
 	minSlots     uint64
 	slotHeadroom float64
-	promoteRate  float64
 	ewma         map[uint32]memalloc.Demand
 }
 
-// NewPlanner builds a planner with cfg's smoothing parameters.
-func NewPlanner(cfg Config) *Planner {
-	c := cfg.withDefaults()
+// NewPlanner builds a planner with an empty demand model.
+func NewPlanner() *Planner {
 	return &Planner{
-		alpha:        c.Alpha,
-		headroom:     c.Headroom,
-		minSlots:     c.MinSlots,
-		slotHeadroom: c.SlotHeadroom,
-		promoteRate:  c.PromoteRate,
+		alpha:        alpha,
+		minSlots:     minSlots,
+		slotHeadroom: slotHeadroom,
 		ewma:         make(map[uint32]memalloc.Demand),
 	}
 }
@@ -240,13 +218,13 @@ func smooth(alpha float64, sample, old uint64) uint64 {
 }
 
 // Demands returns the smoothed demand set, ascending by lock ID. The
-// admission headroom and the MinSlots floor are applied here — before the
+// admission headroom and the minSlots floor are applied here — before the
 // knapsack — so slot grants and capacity accounting agree (a post-hoc
 // adjustment would hand out more slots than the plan reserved).
 func (p *Planner) Demands() []memalloc.Demand {
 	out := make([]memalloc.Demand, 0, len(p.ewma))
 	for _, d := range p.ewma {
-		if d.Rate < p.promoteRate {
+		if d.Rate < promoteRate {
 			// Too cold for switch residency; if currently resident, its
 			// absence from the demand set makes it a demote candidate.
 			continue
@@ -265,7 +243,7 @@ func (p *Planner) Demands() []memalloc.Demand {
 // current placement and returns at most budget moves, demotions ordered
 // before the promotions they make room for.
 func (p *Planner) Plan(current map[uint32]uint64, capacity uint64, budget int) []memalloc.Move {
-	usable := capacity - uint64(float64(capacity)*p.headroom)
+	usable := capacity - uint64(float64(capacity)*headroom)
 	_, moves := memalloc.Resolve(p.Demands(), usable, current, budget)
 	return moves
 }
@@ -294,7 +272,7 @@ func New(m Mover, cfg Config) *Loop {
 	return &Loop{
 		cfg:     c,
 		mover:   m,
-		planner: NewPlanner(c),
+		planner: NewPlanner(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -306,7 +284,7 @@ func (l *Loop) Tick() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.Ticks++
-	l.planner.Observe(l.mover.MeasureDemands(l.cfg.Window))
+	l.planner.Observe(l.mover.MeasureDemands(l.cfg.Interval.Seconds()))
 	moves := l.planner.Plan(l.mover.Placement(), l.mover.SwitchCapacity(), l.cfg.Budget)
 	l.stats.Planned += uint64(len(moves))
 	ok := 0

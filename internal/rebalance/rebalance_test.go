@@ -101,7 +101,7 @@ func TestLoopPromotesHotSet(t *testing.T) {
 // the per-tick budget, over as many ticks as that takes.
 func TestLoopRotatesHotSet(t *testing.T) {
 	fm := newFakeMover(30)
-	// Phase 1: locks 1-3 hot (8 slots each under the MinSlots floor; 27
+	// Phase 1: locks 1-3 hot (8 slots each under the minSlots floor; 27
 	// usable slots fit all three).
 	for i := 0; i < 4; i++ {
 		fm.push(window(hot(1), hot(2), hot(3)))
@@ -112,7 +112,8 @@ func TestLoopRotatesHotSet(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fm.push(window(hot(11), hot(12), hot(13)))
 	}
-	l := New(fm, Config{Alpha: 0.7})
+	l := New(fm, Config{})
+	l.planner.alpha = 0.7
 	for i := 0; i < 14; i++ {
 		l.Tick()
 	}
@@ -165,7 +166,8 @@ func TestLoopSmoothingResistsFlap(t *testing.T) {
 		window(hot(9), cold(5)),
 		window(hot(9), cold(5)),
 	)
-	l := New(fm, Config{Alpha: 0.2, MinSlots: 8})
+	l := New(fm, Config{})
+	l.planner.alpha = 0.2
 	for i := 0; i < 4; i++ {
 		l.Tick()
 	}
@@ -202,7 +204,7 @@ func TestLoopMoveFailureIsRetried(t *testing.T) {
 // plans, including under score ties.
 func TestPlannerDeterministic(t *testing.T) {
 	mkPlan := func() []memalloc.Move {
-		p := NewPlanner(Config{})
+		p := NewPlanner()
 		p.Observe(window(hot(3), hot(1), hot(2)))
 		p.Observe(window(hot(2), hot(3), hot(1)))
 		return p.Plan(map[uint32]uint64{}, 20, 8)
@@ -224,7 +226,7 @@ func TestPlannerDeterministic(t *testing.T) {
 // TestPlannerDecayDropsSilentLocks: a lock that stops appearing decays
 // out of the demand model entirely.
 func TestPlannerDecayDropsSilentLocks(t *testing.T) {
-	p := NewPlanner(Config{Alpha: 0.5})
+	p := NewPlanner()
 	p.Observe(window(hot(6)))
 	for i := 0; i < 40; i++ {
 		p.Observe(nil)
@@ -240,7 +242,8 @@ func TestPlannerDecayDropsSilentLocks(t *testing.T) {
 // peak contention, so demand growth is absorbed in the switch instead of
 // detouring through the server overflow path (admission starvation).
 func TestSlotHeadroom(t *testing.T) {
-	p := NewPlanner(Config{Alpha: 1, MinSlots: 1})
+	p := NewPlanner()
+	p.alpha, p.minSlots = 1, 1
 	p.Observe(window(memalloc.Demand{LockID: 3, Rate: 1000, Contention: 8}))
 	ds := p.Demands()
 	if len(ds) != 1 || ds[0].Contention != 10 { // ceil(8 * 1.25)
@@ -248,16 +251,18 @@ func TestSlotHeadroom(t *testing.T) {
 	}
 
 	// Any non-zero headroom grants at least one spare slot.
-	p = NewPlanner(Config{Alpha: 1, MinSlots: 1, SlotHeadroom: 0.01})
+	p = NewPlanner()
+	p.alpha, p.minSlots, p.slotHeadroom = 1, 1, 0.01
 	p.Observe(window(memalloc.Demand{LockID: 3, Rate: 1000, Contention: 2}))
 	if ds := p.Demands(); ds[0].Contention != 3 {
 		t.Fatalf("contention = %d, want 3 (2 + one spare slot)", ds[0].Contention)
 	}
 
-	// Negative disables; the MinSlots floor still applies after padding.
-	p = NewPlanner(Config{Alpha: 1, MinSlots: 8, SlotHeadroom: -1})
+	// Zero disables; the minSlots floor still applies after padding.
+	p = NewPlanner()
+	p.alpha, p.slotHeadroom = 1, 0
 	p.Observe(window(memalloc.Demand{LockID: 3, Rate: 1000, Contention: 2}))
 	if ds := p.Demands(); ds[0].Contention != 8 {
-		t.Fatalf("contention = %d, want the MinSlots floor 8", ds[0].Contention)
+		t.Fatalf("contention = %d, want the minSlots floor 8", ds[0].Contention)
 	}
 }

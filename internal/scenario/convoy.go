@@ -8,7 +8,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
 
@@ -47,9 +46,7 @@ func runConvoy(cfg Config) (*Summary, error) {
 			MaxSwitchLocks: 8,
 			Priorities:     2,
 		},
-		DP:          switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 2},
-		Servers:     1,
-		Server:      lockserver.Config{Priorities: 2},
+		DP:          switchdp.Config{MaxLocks: 8, TotalSlots: 64},
 		SwitchLocks: []ctrlplane.SwitchLock{{ID: hotLock, Slots: 16}},
 	}
 	plane, err := NewPlane(pc)

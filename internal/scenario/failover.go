@@ -11,7 +11,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
 
@@ -82,9 +81,7 @@ func runFailoverScenario(cfg Config) (*Summary, error) {
 			SwitchSlots:    64,
 			MaxSwitchLocks: 16,
 		},
-		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 64, Priorities: 1},
-		Servers: 2,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 16, TotalSlots: 64},
 	}
 	// Half the pool switch-resident, half server-owned, so the kills hit
 	// grants cached in the chain and grants queued at the servers.

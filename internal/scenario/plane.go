@@ -7,7 +7,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
 	"netlock/internal/transport"
@@ -54,15 +53,16 @@ type PlaneConfig struct {
 	Chaos   bool // udp only
 	Workers int
 
-	// Embedded configures the in-process Manager (Kind "embedded").
+	// Embedded configures the in-process Manager (Kind "embedded"). The
+	// UDP rack takes its server count, priority count and Isolation from
+	// it too, so both planes run the same rack.
 	Embedded netlock.Config
 
-	// DP, Servers and Server configure the rack (Kind "udp"). Switches
-	// sets the replication chain length (default 1, unreplicated).
+	// DP sizes the rack's switch (Kind "udp"): its lock table, queue
+	// slots and lease. Switches sets the replication chain length
+	// (default 1, unreplicated).
 	DP       switchdp.Config
-	Servers  int
 	Switches int
-	Server   lockserver.Config
 
 	// SwitchLocks are preinstalled on either plane; Slots is the lock's
 	// total queue slots, split across the priority banks.
@@ -143,11 +143,13 @@ func newUDPPlane(cfg PlaneConfig) (*udpPlane, error) {
 	if cfg.Chaos {
 		chaos = scenarioChaos(cfg.Seed)
 	}
+	dp := cfg.DP
+	dp.Priorities = max(cfg.Embedded.Priorities, 1)
+	dp.Isolation = cfg.Embedded.Isolation
 	tp, err := ctrlplane.New(ctrlplane.Config{
 		Switches:    cfg.Switches,
-		Servers:     cfg.Servers,
-		DataPlane:   cfg.DP,
-		Server:      cfg.Server,
+		Servers:     cfg.Embedded.Servers,
+		DataPlane:   dp,
 		Chaos:       &chaos,
 		SwitchLocks: cfg.SwitchLocks,
 		Quotas:      cfg.Quotas,

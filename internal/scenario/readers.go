@@ -9,7 +9,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
 )
@@ -53,9 +52,7 @@ func runReaders(cfg Config) (*Summary, error) {
 			SweepInterval:  time.Millisecond,
 			Metrics:        true,
 		},
-		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 128, Priorities: 1},
-		Servers: 1,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 16, TotalSlots: 128},
 	}
 	for id := uint32(1); id <= hotSet/2; id++ {
 		pc.SwitchLocks = append(pc.SwitchLocks, ctrlplane.SwitchLock{ID: id, Slots: 8})

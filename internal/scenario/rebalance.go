@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"netlock"
-	"netlock/internal/lockserver"
 	"netlock/internal/rebalance"
 	"netlock/internal/switchdp"
 )
@@ -263,9 +262,7 @@ func runRebalance(cfg Config) (*Summary, error) {
 			RebalanceBudget:   2,
 			OnRebalanceMove:   oracle.record,
 		},
-		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 64, Priorities: 1},
-		Servers: 2,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 16, TotalSlots: 64},
 	}
 	plane, err := NewPlane(pc)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/obs"
 	"netlock/internal/switchdp"
 )
@@ -71,9 +70,7 @@ func runTenants(cfg Config) (*Summary, error) {
 			Isolation:      true,
 			Metrics:        true,
 		},
-		DP:      switchdp.Config{MaxLocks: 8, TotalSlots: 64, Priorities: 1, Isolation: true},
-		Servers: 2,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 8, TotalSlots: 64},
 	}
 	for t := 0; t < wireTenants; t++ {
 		q := ctrlplane.TenantQuota{Tenant: uint8(t), PerSec: 1e9, Burst: 1e6}

@@ -10,7 +10,6 @@ import (
 	"netlock"
 	"netlock/internal/check"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 )
 
@@ -393,9 +392,7 @@ func twoPLPlane(cfg Config, pr twoPLParams) (Plane, error) {
 			SwitchSlots:    64,
 			MaxSwitchLocks: 16,
 		},
-		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 64, Priorities: 1},
-		Servers: 1,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 16, TotalSlots: 64},
 	}
 	// Half the pool switch-resident, half server-owned, so transactions
 	// span both paths.

@@ -8,7 +8,6 @@ import (
 
 	"netlock"
 	"netlock/internal/ctrlplane"
-	"netlock/internal/lockserver"
 	"netlock/internal/switchdp"
 	"netlock/internal/wire"
 	"netlock/internal/workload"
@@ -49,9 +48,7 @@ func runZipf(cfg Config) (*Summary, error) {
 			// promote/demote path under fire, not a quiesced reshuffle.
 			RebalanceInterval: 5 * time.Millisecond,
 		},
-		DP:      switchdp.Config{MaxLocks: 16, TotalSlots: 128, Priorities: 1},
-		Servers: 2,
-		Server:  lockserver.Config{},
+		DP: switchdp.Config{MaxLocks: 16, TotalSlots: 128},
 	}
 	if cfg.Plane == "udp" {
 		// Zipf rank 1 is the hottest ID; pin the hot prefix switch-resident.

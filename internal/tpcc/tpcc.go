@@ -63,8 +63,6 @@ type Config struct {
 	HomeWarehouseAffinity bool
 	// ThinkNs is the in-memory execution time per transaction.
 	ThinkNs int64
-	// OneRTT requests grant-to-database forwarding for all locks.
-	OneRTT bool
 	// StockPages, when positive, locks the stock table at page granularity
 	// with StockPages pages per warehouse instead of row granularity. This
 	// is the paper's own coarsening rule for uniform distributions (§4.5:
@@ -162,7 +160,7 @@ func (w *Workload) NextTxn(client int, rng *rand.Rand) cluster.TxnSpec {
 	wh := w.warehouse(client, rng)
 	d := w.district(rng)
 	add := func(id uint32, mode wire.Mode) {
-		locks = append(locks, cluster.Request{LockID: id, Mode: mode, OneRTT: w.cfg.OneRTT})
+		locks = append(locks, cluster.Request{LockID: id, Mode: mode})
 	}
 	switch {
 	case roll < 45: // New-Order

@@ -167,17 +167,6 @@ func TestConfigValidation(t *testing.T) {
 	New(Config{Warehouses: 0})
 }
 
-func TestOneRTTPropagates(t *testing.T) {
-	w := New(Config{Warehouses: 1, OneRTT: true})
-	rng := rand.New(rand.NewSource(7))
-	spec := w.NextTxn(0, rng)
-	for _, l := range spec.Locks {
-		if !l.OneRTT {
-			t.Fatalf("OneRTT flag lost")
-		}
-	}
-}
-
 func TestNURandRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 10_000; i++ {

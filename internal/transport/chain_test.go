@@ -289,7 +289,7 @@ func TestBareHeaderIngress(t *testing.T) {
 			// The probe stands in for the client's switch: it reads the
 			// client's acquires and forges every datagram the client gets.
 			p := newProbe(t)
-			c, err := NewClientConfig(ClientConfig{Switch: p.conn.LocalAddr().String(), RetryInterval: time.Minute})
+			c, err := NewClientConfig(ClientConfig{Switches: []string{p.conn.LocalAddr().String()}, RetryInterval: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -513,7 +513,7 @@ func soloMember(t *testing.T, p *probe) *Switch {
 
 // probeMember starts one switch whose successor is the probe: a mid
 // member whose predecessor is the probe too, or (head) the head of a
-// 2-member chain whose tail is the probe. sweep is its SweepInterval (0:
+// 2-member chain whose tail is the probe. sweep is its sweep period (0:
 // the default).
 func probeMember(t *testing.T, p *probe, head bool, sweep time.Duration) *Switch {
 	t.Helper()
@@ -523,7 +523,7 @@ func probeMember(t *testing.T, p *probe, head bool, sweep time.Duration) *Switch
 	}
 	t.Cleanup(func() { srv.Close() })
 	sw, err := NewSwitch(SwitchConfig{Listen: "127.0.0.1:0", DataPlane: dpConfig(),
-		Servers: []string{srv.Addr()}, SweepInterval: sweep})
+		Servers: []string{srv.Addr()}, sweep: sweep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,12 @@ type ChaosConfig struct {
 	// Dup is the probability an edge datagram is delivered twice.
 	Dup float64
 	// Delay is the probability a delivery is deferred by a random amount
-	// up to MaxDelay (reordering).
+	// up to chaosMaxDelay (reordering).
 	Delay float64
-	// MaxDelay bounds the random delivery delay. Default 2ms.
-	MaxDelay time.Duration
 }
+
+// chaosMaxDelay bounds a delayed delivery's random delay.
+const chaosMaxDelay = 2 * time.Millisecond
 
 // ChaosNet is an in-process Network with seeded, packet-level chaos, the
 // adversarial substrate of the conformance and scenario suites. Links where
@@ -49,9 +50,6 @@ type ChaosNet struct {
 
 // NewChaosNet builds a chaos network.
 func NewChaosNet(cfg ChaosConfig) *ChaosNet {
-	if cfg.MaxDelay == 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
-	}
 	return &ChaosNet{
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cfg:      cfg,
@@ -130,8 +128,8 @@ func (cn *ChaosNet) send(from *chaosConn, data []byte, to netip.AddrPort) {
 	}
 	var delays [2]time.Duration
 	for i := 0; i < copies; i++ {
-		if cn.rng.Float64() < cn.cfg.Delay && cn.cfg.MaxDelay > 0 {
-			delays[i] = time.Duration(cn.rng.Int63n(int64(cn.cfg.MaxDelay)))
+		if cn.rng.Float64() < cn.cfg.Delay {
+			delays[i] = time.Duration(cn.rng.Int63n(int64(chaosMaxDelay)))
 		}
 	}
 	cn.mu.Unlock()

@@ -123,15 +123,12 @@ type failoverEvent struct {
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
-	// Switch is the switch's UDP address (single-switch shorthand for a
-	// one-element Switches list).
-	Switch string
 	// Switches are the addresses of every member of a replicated switch
-	// chain, head first. Ops go to the head; the remaining addresses are
-	// failover candidates. Takes precedence over Switch when non-empty.
+	// chain, head first (one address for an unreplicated switch). Ops go
+	// to the head; the remaining addresses are failover candidates.
 	Switches []string
 	// Fabric configures multi-rack routing; nil means a single rack.
-	// Takes precedence over Switch and Switches when set.
+	// Takes precedence over Switches when set.
 	Fabric *FabricClientConfig
 	// OnFailover, if set, is invoked (from the client's internal
 	// goroutines — it must not block) whenever the client re-targets to a
@@ -161,7 +158,7 @@ type FabricClientConfig struct {
 // NewClient creates a client socket pointed at the switch, with default
 // batching. See NewClientConfig to tune.
 func NewClient(switchAddr string) (*Client, error) {
-	return NewClientConfig(ClientConfig{Switch: switchAddr})
+	return NewClientConfig(ClientConfig{Switches: []string{switchAddr}})
 }
 
 // NewClientConfig creates a client from an explicit configuration.
@@ -181,10 +178,8 @@ func NewClientConfig(cfg ClientConfig) (*Client, error) {
 		}
 		rackAddrs = cfg.Fabric.Racks
 		smap = cfg.Fabric.Map.Clone()
-	} else if len(cfg.Switches) > 0 {
-		rackAddrs = [][]string{cfg.Switches}
 	} else {
-		rackAddrs = [][]string{{cfg.Switch}}
+		rackAddrs = [][]string{cfg.Switches}
 	}
 	racks := make([]clientRack, len(rackAddrs))
 	addrRack := make(map[netip.AddrPort]int)

@@ -29,7 +29,7 @@ func TestClientSteadyStateAllocs(t *testing.T) {
 	installLock(t, sw, servers, 1, switchdp.Region{Left: 0, Right: 8})
 
 	c, err := NewClientConfig(ClientConfig{
-		Switch: sw.Addr(),
+		Switches: []string{sw.Addr()},
 		// Park the retry sweep: a retransmit mid-measurement would be a
 		// (legitimate) extra send, not steady state.
 		RetryInterval: time.Hour,
@@ -69,7 +69,7 @@ func TestClientRetryPacing(t *testing.T) {
 	}
 	defer peer.Close()
 	const retry = 100 * time.Millisecond
-	c, err := NewClientConfig(ClientConfig{Switch: peer.LocalAddr().String(), RetryInterval: retry})
+	c, err := NewClientConfig(ClientConfig{Switches: []string{peer.LocalAddr().String()}, RetryInterval: retry})
 	if err != nil {
 		t.Fatal(err)
 	}

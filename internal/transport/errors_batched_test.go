@@ -50,7 +50,7 @@ func errorRack(t *testing.T, srvCfg lockserver.Config, dp switchdp.Config) (*Cha
 func batchedClient(t *testing.T, cn *ChaosNet, sw *Switch) *Client {
 	t.Helper()
 	c, err := NewClientConfig(ClientConfig{
-		Switch:        sw.Addr(),
+		Switches:      []string{sw.Addr()},
 		Net:           cn,
 		RetryInterval: 20 * time.Millisecond,
 	})

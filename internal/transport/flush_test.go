@@ -17,7 +17,7 @@ import (
 // frame it sends leaves through the flusher or a full-frame write.
 func parkedSweepClient(t *testing.T, sw *Switch) *Client {
 	t.Helper()
-	c, err := NewClientConfig(ClientConfig{Switch: sw.Addr(), RetryInterval: time.Hour})
+	c, err := NewClientConfig(ClientConfig{Switches: []string{sw.Addr()}, RetryInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

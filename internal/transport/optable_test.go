@@ -102,11 +102,11 @@ func manualSwitch(t testing.TB, discard bool) (*Switch, *manualConn) {
 	dp := dpConfig()
 	dp.Now = func() int64 { return 0 }
 	sw, err := NewSwitch(SwitchConfig{
-		Listen:        "manual",
-		DataPlane:     dp,
-		Servers:       []string{manualServer.String()},
-		SweepInterval: time.Hour,
-		Net:           manualNet{conn},
+		Listen:    "manual",
+		DataPlane: dp,
+		Servers:   []string{manualServer.String()},
+		Net:       manualNet{conn},
+		sweep:     time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -174,12 +174,16 @@ type SwitchConfig struct {
 	// Servers are the lock servers' UDP addresses; locks partition across
 	// them by lockserver.RSSCore.
 	Servers []string
-	// SweepInterval runs the control-plane sweep: expired-lease release
-	// injection and stranded-overflow re-notification. Default 10ms.
-	SweepInterval time.Duration
 	// Net is the socket factory; nil means real UDP.
 	Net Network
+
+	// sweep overrides sweepInterval; in-package tests set it.
+	sweep time.Duration
 }
+
+// sweepInterval is the control-plane sweep period: expired-lease release
+// injection, stranded-overflow re-notification and grant re-sends.
+const sweepInterval = 10 * time.Millisecond
 
 // NewSwitch binds and starts a switch node.
 func NewSwitch(cfg SwitchConfig) (*Switch, error) {
@@ -222,14 +226,14 @@ func NewSwitch(cfg SwitchConfig) (*Switch, error) {
 		return nil, fmt.Errorf("transport: switch needs at least one lock server")
 	}
 	s.route = lockserver.NewRouting(len(s.servers))
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = 10 * time.Millisecond
+	if cfg.sweep == 0 {
+		cfg.sweep = sweepInterval
 	}
 	s.now = cfg.DataPlane.Now
 	s.wg.Add(1)
 	go s.readLoop()
 	s.wg.Add(1)
-	go s.sweepLoop(cfg.SweepInterval)
+	go s.sweepLoop(cfg.sweep)
 	return s, nil
 }
 
